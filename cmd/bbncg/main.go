@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -199,6 +200,7 @@ func main() {
 		go func() {
 			<-sigc
 			signal.Stop(sigc)
+			app.signalled.Store(true)
 			fmt.Fprintln(os.Stderr, "bbncg: interrupted — finishing in-flight points and flushing the store (continue with -resume)")
 			close(done)
 		}()
@@ -234,9 +236,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if app.interrupted > 0 {
+	if app.signalled.Load() {
 		// The signal handler already explained itself; the distinct exit
-		// code is the machine-readable half of the contract.
+		// code is the machine-readable half of the contract. It follows
+		// the signal, not the point count: a signal that lands after the
+		// last point was dispatched interrupts no point, yet the run was
+		// still told to stop and its caller must still see exit 5.
 		os.Exit(5)
 	}
 	if app.failed > 0 {
@@ -399,6 +404,9 @@ type app struct {
 	retried     int
 	failed      int
 	interrupted int
+	// signalled records that the SIGINT/SIGTERM handler fired during a
+	// checkpointed run; it alone decides exit code 5.
+	signalled atomic.Bool
 	// Per-partition point counts summed over the run's specs (sharded
 	// runs only).
 	shardCounts []int

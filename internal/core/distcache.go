@@ -66,6 +66,18 @@ func (dv *Deviator) EnsureCache(budgetBytes int64) bool {
 	if dv.rows != nil {
 		return true
 	}
+	if !dv.allocCache(budgetBytes) {
+		return false
+	}
+	dv.fillWhole(dv.base)
+	dv.rebuildInMin()
+	return true
+}
+
+// allocCache allocates the cache buffers — rows, inMin and, weighted,
+// the offsets at the live weights generation — if 4·n·(n+1) bytes fit
+// within budgetBytes, leaving the rows to be filled (or derived).
+func (dv *Deviator) allocCache(budgetBytes int64) bool {
 	n := dv.game.N()
 	if need := 4 * int64(n) * int64(n+1); budgetBytes <= 0 || need > budgetBytes {
 		return false
@@ -74,23 +86,23 @@ func (dv *Deviator) EnsureCache(budgetBytes int64) bool {
 		if !graph.FitsWeightedCache(n, dv.wts.MaxW()) {
 			return false // offsets would alias InfDist: stay on Dijkstra fallback
 		}
-		dv.rows = getInt32(n * n)
 		dv.woff = getInt32(n)
 		dv.rebuildWoff()
 		dv.wgen = dv.wts.Gen()
-		wcsr := graph.NewWCSRExcluding(dv.base, dv.wts, dv.u)
-		wcsr.DistanceRowsInto(dv.rows, dv.woff)
-		dv.inMin = getInt32(n)
-		dv.rebuildInMin()
-		return true
 	}
-	csr := graph.NewCSRExcluding(dv.base, dv.u)
-	rows := getInt32(n * n)
-	csr.DistanceRowsInto(rows)
-	dv.rows = rows
+	dv.rows = getInt32(n * n)
 	dv.inMin = getInt32(n)
-	dv.rebuildInMin()
 	return true
+}
+
+// fillWhole fills the whole matrix of G−u over base: the batched BFS,
+// or the weighted fill at the current offsets.
+func (dv *Deviator) fillWhole(base graph.Und) {
+	if dv.wts != nil {
+		graph.NewWCSRExcluding(base, dv.wts, dv.u).DistanceRowsInto(dv.rows, dv.woff)
+		return
+	}
+	graph.NewCSRExcluding(base, dv.u).DistanceRowsInto(dv.rows)
 }
 
 // EnsureWeightedCache is EnsureCache for Deviators built by
@@ -144,16 +156,29 @@ func (dv *Deviator) rebuildInMin() {
 // layer (graph.RepairRows) over the diff of the old and new adjacency:
 // rows untouched by the changed edges are kept as they are, rows that
 // can only have improved are patched by an improvement-only BFS, and
-// only genuinely damaged rows are recomputed (with a batched full refill
-// past the damage threshold). The repaired state is bit-identical to a
-// freshly built cache; dynamics pins this with repair-vs-refill tests.
+// only genuinely damaged rows are recomputed (with a whole rebuild —
+// derived or filled, see refillWhole — past the damage threshold). The
+// repaired state is bit-identical to a freshly built cache; dynamics
+// pins this with repair-vs-refill tests.
 func (dv *Deviator) Repair(d *graph.Digraph) graph.RepairStats {
+	return dv.resync(d, false)
+}
+
+// resync is Repair; whole skips the adjacency diff and rebuilds the
+// matrix outright, for a caller that already knows the delta exceeds
+// graph.RepairDeltaCap (the journal reported it oversized). Both end in
+// the state Repair reaches through RepairRows' full-refill exit.
+func (dv *Deviator) resync(d *graph.Digraph, whole bool) graph.RepairStats {
 	newBase := d.UnderlyingWithout(dv.u)
 	newIn := d.In(dv.u)
 	inSame := slices.Equal(dv.in, newIn)
 	var st graph.RepairStats
 	dv.syncWeights() // before the edge delta: repairs read current weights
-	if dv.rows != nil {
+	switch {
+	case dv.rows == nil:
+	case whole:
+		dv.refillWhole(d, newBase, &st)
+	default:
 		removed, added := graph.DiffUnd(dv.base, newBase, dv.u)
 		if len(removed)+len(added) == 0 {
 			// Nothing in G-u moved: the matrix, colMin floor, SUM memo,
@@ -177,7 +202,7 @@ func (dv *Deviator) Repair(d *graph.Digraph) graph.RepairStats {
 			dv.rebuildInMin()
 			return st
 		}
-		dv.applyRowDelta(newBase, removed, added, inSame, &st)
+		dv.applyRowDelta(d, newBase, removed, added, inSame, &st)
 	}
 	dv.base = newBase
 	dv.in = newIn
@@ -191,10 +216,11 @@ func (dv *Deviator) Repair(d *graph.Digraph) graph.RepairStats {
 }
 
 // applyRowDelta runs the delta-BFS row repair plus the dependent colMin,
-// memo and level-cache maintenance for a non-empty edge delta against
-// newBase. Shared by Repair (diff-computed delta) and RepairDelta
-// (journal-supplied delta) so both paths stay bit-identical.
-func (dv *Deviator) applyRowDelta(newBase graph.Und, removed, added [][2]int32, inSame bool, st *graph.RepairStats) {
+// memo and level-cache maintenance for a non-empty edge delta that
+// brings the rows to d, whose G−u adjacency is newBase. Shared by Repair
+// (diff-computed delta) and RepairDelta (journal-supplied delta) so both
+// paths stay bit-identical.
+func (dv *Deviator) applyRowDelta(d *graph.Digraph, newBase graph.Und, removed, added [][2]int32, inSame bool, st *graph.RepairStats) {
 	n := dv.game.N()
 	if dv.wts != nil {
 		// Weighted tier: the same plan over the weighted repair layer.
@@ -205,48 +231,59 @@ func (dv *Deviator) applyRowDelta(newBase graph.Und, removed, added [][2]int32, 
 			dv.wds = graph.NewWDeltaScratch(n)
 		}
 		*st = wcsr.RepairRowsWeighted(dv.rows, dv.woff, dv.toWEdges(removed), dv.toWEdges(added), dv.wds)
-		dv.repairColMin(*st)
-		dv.memoRepair(*st, inSame)
-		if st.FullRefill {
-			dv.stable = 0
-		} else {
-			dv.noteStable()
+	} else {
+		csr := graph.NewCSRExcluding(newBase, dv.u)
+		if dv.ds == nil {
+			dv.ds = graph.NewDeltaScratch(n)
 		}
+		*st = csr.RepairRows(dv.rows, removed, added, dv.ds)
+	}
+	if st.FullRefill {
+		dv.refillWhole(d, newBase, st)
 		return
 	}
-	csr := graph.NewCSRExcluding(newBase, dv.u)
-	if dv.ds == nil {
-		dv.ds = graph.NewDeltaScratch(n)
-	}
-	*st = csr.RepairRows(dv.rows, removed, added, dv.ds)
 	dv.repairColMin(*st)
 	dv.memoRepair(*st, inSame)
-	if st.FullRefill {
-		// The whole matrix moved: re-levelling it would cost more
-		// than the bitset kernel saves this round. Drop the level
-		// cache and reset the stability streak; the MAX responders
-		// run the row kernel until the rows settle again.
-		dv.lc = nil
-		dv.stable = 0
-	} else {
-		dv.noteStable()
-		if dv.lc != nil {
-			for _, s := range st.Changed {
-				dv.lc.SetRow(int(s), dv.rows[int(s)*n:(int(s)+1)*n])
-			}
+	dv.noteStable()
+	if dv.lc != nil {
+		for _, s := range st.Changed {
+			dv.lc.SetRow(int(s), dv.rows[int(s)*n:(int(s)+1)*n])
 		}
 	}
 }
 
-// RepairDelta brings the Deviator in sync after an exact undirected-edge
-// delta supplied by the graph's mutation journal (stamped pools). The
-// delta must exclude edges incident to u and reflect an unchanged in(u)
-// anchor set — the pool only takes this path when the journal certifies
-// both — so the fixed adjacency is patched in place and the anchor fold
-// rebuilt without the O(n+m) UnderlyingWithout + DiffUnd resync that
-// Repair pays. The resulting state is bit-identical to Repair against
-// the same target graph.
-func (dv *Deviator) RepairDelta(removed, added [][2]int32) graph.RepairStats {
+// refillWhole rebuilds the whole matrix of G−u for d (adjacency base)
+// once the graph moved too far for row repair: derived from the owning
+// pool's freshest exact entry when one qualifies (CachePool.derive),
+// else one whole fill. Derived rows equal a fresh fill bit for bit, and
+// the dependent state follows the full-refill rules either way — colMin
+// and the SUM memo dropped, the level cache dropped (re-levelling a
+// whole new matrix would cost more than the bitset kernel saves this
+// round) and the stability streak reset, so the MAX responders run the
+// row kernel until the rows settle again. Which rebuild ran is visible
+// only in st.Derived.
+func (dv *Deviator) refillWhole(d *graph.Digraph, base graph.Und, st *graph.RepairStats) {
+	*st = graph.RepairStats{FullRefill: true}
+	if dst, ok := dv.pool.derive(dv, d); ok {
+		st.Derived, st.RowsRefilled = true, dst.RowsRefilled
+	} else {
+		dv.fillWhole(base)
+	}
+	dv.repairColMin(*st) // drops colMin: rebuilt exactly on next use
+	dv.memo = nil
+	dv.lc = nil
+	dv.stable = 0
+}
+
+// RepairDelta brings the Deviator in sync with d after an exact
+// undirected-edge delta supplied by the graph's mutation journal
+// (stamped pools). The delta must exclude edges incident to u and
+// reflect an unchanged in(u) anchor set — the pool only takes this path
+// when the journal certifies both — so the fixed adjacency is patched
+// in place and the anchor fold rebuilt without the O(n+m)
+// UnderlyingWithout + DiffUnd resync that Repair pays. The resulting
+// state is bit-identical to Repair against the same target graph.
+func (dv *Deviator) RepairDelta(d *graph.Digraph, removed, added [][2]int32) graph.RepairStats {
 	var st graph.RepairStats
 	dv.syncWeights() // before the edge delta: repairs read current weights
 	if len(removed)+len(added) == 0 {
@@ -260,7 +297,7 @@ func (dv *Deviator) RepairDelta(removed, added [][2]int32) graph.RepairStats {
 		dv.base.AddEdge(int(e[0]), int(e[1]))
 	}
 	if dv.rows != nil {
-		dv.applyRowDelta(dv.base, removed, added, true, &st)
+		dv.applyRowDelta(d, dv.base, removed, added, true, &st)
 	}
 	dv.label, dv.comps = graph.ComponentsExcluding(dv.base, dv.u)
 	dv.seen = make([]bool, dv.comps+1)

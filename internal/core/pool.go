@@ -24,8 +24,38 @@ import (
 // skips even the O(n+m) UnderlyingWithout rebuild + DiffUnd, and the
 // mutation journal hands Repair the exact edge delta when only a few
 // movers touched the graph. A settled round is then O(movers), not
-// O(players): untouched players cost a stamp comparison each. Setting
-// BBNCG_STAMPS=0 restores the diff-always resync path (results are
+// O(players): untouched players cost a stamp comparison each.
+//
+// The acquisition ladder, cheapest proof first:
+//
+//	StampSkip → DeltaRepair → Derive → Fill / Resync
+//
+//   - StampSkip: same instance and generation, a journal delta that is
+//     empty outside u, or a matching content anchor — nothing to do.
+//   - DeltaRepair: the journal's exact edge delta repairs the rows in
+//     place (graph.RepairRows). DeltaSince is capped at
+//     graph.RepairDeltaCap, so an oversized delta is known before any
+//     netting work and goes straight to a whole rebuild.
+//   - Derive: wherever a whole matrix of dist_{G−y} would be built — a
+//     new entry, or a repair past RepairDeltaCap / RepairRefillFraction
+//     — it is derived instead from the pool's freshest exact entry x
+//     (graph.DeriveRows): copy x's rows, re-insert x, delete y, refill
+//     only the rows y's deletion damaged. The donor is one of the two
+//     most recently synced entries, and "exact" means the journal shows
+//     no edge change outside x's own incident edges since x synced (and,
+//     in a weighted pool, x is at the live weights generation). In a
+//     dynamics run that is normally the previous player, whose own move
+//     is the only change since. Derived rows are bit-identical to a
+//     fresh fill and the entry's colMin, SUM memo, level sets and
+//     stability streak follow the full-refill rules, so derivation is
+//     invisible past the counters.
+//   - Fill / Resync: a whole-matrix fill remains only when no donor
+//     qualifies or y's deletion damages more than RepairRefillFraction
+//     of the rows; a resync (UnderlyingWithout + DiffUnd) only when the
+//     journal cannot cover the gap or in(u) moved.
+//
+// Setting BBNCG_STAMPS=0 restores the diff-always resync path without
+// the derive rung, whose donor proof is a stamp proof (results are
 // identical either way).
 //
 // Admission is static: players are pooled first-come within the byte
@@ -67,21 +97,24 @@ func IncrementalEnabled() bool { return os.Getenv("BBNCG_INCREMENTAL") != "0" }
 // either way. Pools snapshot the knob at construction.
 func StampsEnabled() bool { return os.Getenv("BBNCG_STAMPS") != "0" }
 
-// PoolStats counts what a CachePool did over its lifetime.
+// PoolStats counts what a CachePool did over its lifetime. Fills and
+// FullRefills count whole-matrix BFS (or weighted) fills only; a matrix
+// the derive rung built instead counts in Derives.
 type PoolStats struct {
 	Acquires int64 // total Acquire calls
 	Hits     int64 // acquisitions served from a live entry
-	Fills    int64 // entries built by a full matrix fill
+	Fills    int64 // new entries built by a whole-matrix fill
 	Repairs  int64 // acquisitions that ran a repair (delta or resync)
 	Unpooled int64 // acquisitions served by a plain Deviator (over budget or closed)
 
 	RowsPatched  int64 // matrix rows repaired by improvement-only BFS
-	RowsRefilled int64 // matrix rows recomputed by fresh BFS
-	FullRefills  int64 // repairs that fell back to a whole-matrix refill
+	RowsRefilled int64 // matrix rows recomputed by fresh BFS (repair- or derive-damaged)
+	FullRefills  int64 // repairs that fell back to a whole-matrix fill
 
 	StampSkips   int64 // stale acquisitions settled by stamps alone (no rebuild, no diff)
-	DeltaRepairs int64 // repairs fed the exact journal delta (no rebuild, no diff)
+	DeltaRepairs int64 // repairs driven by the journal delta (no diff; an oversized one rebuilds whole)
 	Resyncs      int64 // repairs that fell back to UnderlyingWithout + DiffUnd
+	Derives      int64 // whole matrices (new entries, past-threshold repairs) derived from an exact donor entry
 	MemoHits     int64 // best-response scans skipped by the round-level memo
 	Prefetches   int64 // speculative next-mover resyncs completed
 }
@@ -93,7 +126,7 @@ type poolCounters struct {
 	acquires, hits, fills, repairs, unpooled atomic.Int64
 	rowsPatched, rowsRefilled, fullRefills   atomic.Int64
 	stampSkips, deltaRepairs, resyncs        atomic.Int64
-	memoHits, prefetches                     atomic.Int64
+	derives, memoHits, prefetches            atomic.Int64
 }
 
 // CachePool keeps per-player cached Deviators alive across the rounds of
@@ -121,6 +154,20 @@ type CachePool struct {
 	// Invalidate call and settled rounds still cost one comparison per
 	// untouched player.
 	wts *graph.Weights
+
+	// Derive rung state, owned here so a derivation allocates nothing:
+	// the two most recently synced entries (donor candidates, newest
+	// first), the whole graph as a CSR — a WCSR in a weighted pool —
+	// repacked in place when (gOf, gGen, gWGen) goes stale, and the
+	// damage scratch.
+	fresh [2]*poolEntry
+	gcsr  graph.CSR
+	gwcsr graph.WCSR
+	gOf   *graph.Digraph
+	gGen  int64
+	gWGen int64
+	dds   *graph.DeltaScratch
+	wdds  *graph.WDeltaScratch
 }
 
 type poolEntry struct {
@@ -191,11 +238,15 @@ func (p *CachePool) Invalidate() {
 	}
 }
 
-// record stamps e as synced to d's current state.
+// record stamps e as synced to d's current state, making it the
+// freshest donor candidate.
 func (p *CachePool) record(e *poolEntry, d *graph.Digraph) {
 	e.graph = d
 	e.gen = d.Gen()
 	e.aid, e.agen = d.Anchor()
+	if p.fresh[0] != e {
+		p.fresh[0], p.fresh[1] = e, p.fresh[0]
+	}
 }
 
 // Acquire returns a Deviator for player u evaluating against d, synced
@@ -227,22 +278,30 @@ func (p *CachePool) Acquire(d *graph.Digraph, u int) *Deviator {
 		return e.dv
 	}
 	dv := NewWeightedDeviator(p.game, d, u, p.wts)
-	if p.used.Load()+p.per > p.budget || !dv.EnsureCache(p.per) {
+	if p.used.Load()+p.per > p.budget || !dv.allocCache(p.per) {
 		p.ctr.unpooled.Add(1)
 		return dv // over budget: behaves like a plain Deviator
 	}
 	dv.pool = p
 	p.used.Add(p.per)
+	if st, ok := p.derive(dv, d); ok {
+		p.ctr.derives.Add(1)
+		p.ctr.rowsRefilled.Add(int64(st.RowsRefilled))
+	} else {
+		dv.fillWhole(dv.base)
+		p.ctr.fills.Add(1)
+	}
+	dv.rebuildInMin()
 	e := &poolEntry{dv: dv, version: p.version}
 	p.record(e, d)
 	p.entries[u] = e
-	p.ctr.fills.Add(1)
 	return dv
 }
 
 // resync brings a stale entry in step with d, cheapest proof first:
 // stamp skip (same instance and generation, or matching content anchor
-// across clones) → journal delta repair → full rebuild + diff.
+// across clones) → journal delta repair, or past the repair cap a whole
+// rebuild (derived when a donor qualifies) → full rebuild + diff.
 func (p *CachePool) resync(e *poolEntry, d *graph.Digraph) {
 	if p.wts != nil && e.dv.wgen != p.wts.Gen() {
 		// Weight deltas land first, against the topology the rows still
@@ -258,16 +317,18 @@ func (p *CachePool) resync(e *poolEntry, d *graph.Digraph) {
 				p.ctr.stampSkips.Add(1)
 				return
 			}
-			removed, added, inTouched, ok := d.DeltaSince(e.gen, e.dv.u)
-			if ok && !inTouched {
-				if len(removed)+len(added) == 0 {
+			dl, ok := d.DeltaSince(e.gen, e.dv.u, graph.RepairDeltaCap(p.game.N()))
+			if ok && (dl.Oversized || !dl.InTouched) {
+				switch {
+				case dl.Oversized:
+					// Past the repair cap: rebuild whole straight away —
+					// Repair would diff its way to the same full refill.
+					p.noteDelta(e.dv.resync(d, true))
+				case len(dl.Removed)+len(dl.Added) == 0:
 					e.dv.noteStable()
 					p.ctr.stampSkips.Add(1)
-				} else {
-					st := e.dv.RepairDelta(removed, added)
-					p.ctr.deltaRepairs.Add(1)
-					p.ctr.repairs.Add(1)
-					p.noteRepair(st)
+				default:
+					p.noteDelta(e.dv.RepairDelta(d, dl.Removed, dl.Added))
 				}
 				p.record(e, d)
 				return
@@ -288,12 +349,88 @@ func (p *CachePool) resync(e *poolEntry, d *graph.Digraph) {
 	p.record(e, d)
 }
 
+// noteDelta counts one journal-driven repair.
+func (p *CachePool) noteDelta(st graph.RepairStats) {
+	p.ctr.deltaRepairs.Add(1)
+	p.ctr.repairs.Add(1)
+	p.noteRepair(st)
+}
+
 func (p *CachePool) noteRepair(st graph.RepairStats) {
 	p.ctr.rowsPatched.Add(int64(st.RowsPatched))
 	p.ctr.rowsRefilled.Add(int64(st.RowsRefilled))
-	if st.FullRefill {
+	switch {
+	case st.Derived:
+		p.ctr.derives.Add(1)
+	case st.FullRefill:
 		p.ctr.fullRefills.Add(1)
 	}
+}
+
+// derive fills dv's whole matrix for d — dv must belong to this pool,
+// with its buffers allocated and, weighted, its offsets current — from
+// the freshest exact donor entry (the derive rung; see the file
+// comment). It reports false, leaving dv.rows without meaningful
+// content, when no donor qualifies or the derivation declined on
+// damage; the caller then fills the matrix whole. Nil-safe.
+func (p *CachePool) derive(dv *Deviator, d *graph.Digraph) (graph.RepairStats, bool) {
+	if p == nil || p.closed || !p.stamps {
+		return graph.RepairStats{}, false
+	}
+	x := p.donor(d, dv.u)
+	if x == nil {
+		return graph.RepairStats{}, false
+	}
+	stale := p.gOf != d || p.gGen != d.Gen()
+	p.gOf, p.gGen = d, d.Gen()
+	xu, y := int32(x.dv.u), int32(dv.u)
+	if p.wts != nil {
+		if stale || p.gWGen != p.wts.Gen() {
+			p.gwcsr.ResetUnderlying(d, p.wts)
+			p.gWGen = p.wts.Gen()
+		}
+		if p.wdds == nil {
+			p.wdds = graph.NewWDeltaScratch(p.game.N())
+		}
+		return p.gwcsr.DeriveRowsWeighted(dv.rows, x.dv.rows, dv.woff, x.dv.woff, xu, y, p.wdds)
+	}
+	if stale {
+		p.gcsr.ResetUnderlying(d)
+	}
+	if p.dds == nil {
+		p.dds = graph.NewDeltaScratch(p.game.N())
+	}
+	return p.gcsr.DeriveRows(dv.rows, x.dv.rows, xu, y, p.dds)
+}
+
+// donor returns the freshest entry other than player y's whose rows are
+// exact for d, or nil.
+func (p *CachePool) donor(d *graph.Digraph, y int) *poolEntry {
+	for _, e := range p.fresh {
+		if e != nil && e.dv.u != y && p.exact(e, d) {
+			return e
+		}
+	}
+	return nil
+}
+
+// exact reports whether e's rows are dist_{G−x} for d's current arc
+// set: the journal shows no edge change outside x's own incident edges
+// since e synced (or d carries e's content anchor), and in a weighted
+// pool e is at the live weights generation.
+func (p *CachePool) exact(e *poolEntry, d *graph.Digraph) bool {
+	if p.wts != nil && e.dv.wgen != p.wts.Gen() {
+		return false
+	}
+	if e.graph == d {
+		if e.gen == d.Gen() {
+			return true
+		}
+		dl, ok := d.DeltaSince(e.gen, e.dv.u, 0)
+		return ok && !dl.Oversized
+	}
+	aid, agen := d.Anchor()
+	return aid == e.aid && agen == e.agen
 }
 
 // SkipResponse reports whether player u's whole best-response scan can
@@ -393,6 +530,7 @@ func (p *CachePool) Close() {
 	}
 	p.used.Store(0)
 	p.resp = nil
+	p.fresh, p.gOf = [2]*poolEntry{}, nil // release the donors and the graph
 }
 
 // BytesUsed returns the bytes of distance matrices currently held by
@@ -433,6 +571,7 @@ func (p *CachePool) Stats() PoolStats {
 		StampSkips:   p.ctr.stampSkips.Load(),
 		DeltaRepairs: p.ctr.deltaRepairs.Load(),
 		Resyncs:      p.ctr.resyncs.Load(),
+		Derives:      p.ctr.derives.Load(),
 		MemoHits:     p.ctr.memoHits.Load(),
 		Prefetches:   p.ctr.prefetches.Load(),
 	}

@@ -69,6 +69,9 @@ func (dv *Deviator) syncWeights() {
 		}
 		rst := wcsr.RepairRowsWeighted(dv.rows, dv.woff, removed, added, dv.wds)
 		if rst.FullRefill {
+			// Whole refill, never derived: the rows still describe the
+			// topology they were synced to, which a donor need not share.
+			wcsr.DistanceRowsInto(dv.rows, dv.woff)
 			st = rst
 		} else {
 			st.Changed = append(st.Changed, rst.Changed...)
@@ -95,8 +98,7 @@ func (dv *Deviator) syncWeights() {
 // covers the gap.
 func (dv *Deviator) refillWeighted() {
 	dv.rebuildWoff()
-	wcsr := graph.NewWCSRExcluding(dv.base, dv.wts, dv.u)
-	wcsr.DistanceRowsInto(dv.rows, dv.woff)
+	dv.fillWhole(dv.base)
 	st := graph.RepairStats{FullRefill: true}
 	dv.repairColMin(st)
 	dv.memoRepair(st, true)

@@ -191,8 +191,14 @@ func weightedStream(t *testing.T, version Version) {
 			}
 		}
 	}
-	if st := pool.Stats(); st.Fills != int64(n) {
-		t.Fatalf("pool refilled instead of repairing: %+v", st)
+	// Entries are built once per player (filled, or derived from a
+	// donor — a stamp-proven rung) and repaired from then on.
+	st := pool.Stats()
+	if st.Acquires-st.Hits-st.Unpooled != int64(n) {
+		t.Fatalf("pool rebuilt entries instead of repairing: %+v", st)
+	}
+	if (st.Derives > 0) != StampsEnabled() {
+		t.Fatalf("derive rung engaged %d times with stamps %v: %+v", st.Derives, StampsEnabled(), st)
 	}
 }
 
@@ -262,7 +268,7 @@ func TestWeightedPoolWeightOnlySync(t *testing.T) {
 			}
 		}
 	}
-	if st := pool.Stats(); st.Fills != int64(n) || st.Resyncs != 0 {
+	if st := pool.Stats(); st.Acquires-st.Hits-st.Unpooled != int64(n) || st.Resyncs != 0 {
 		t.Fatalf("weight-only stream hit the topology ladder: %+v", st)
 	}
 }
@@ -358,8 +364,8 @@ func TestWeightedBestResponsePooled(t *testing.T) {
 			}
 		}
 	}
-	if st := pool.Stats(); st.Fills != int64(d.N()-1) {
-		t.Fatalf("expected one fill per alive player, got %+v", st)
+	if st := pool.Stats(); st.Acquires-st.Hits-st.Unpooled != int64(d.N()-1) {
+		t.Fatalf("expected one entry built per alive player, got %+v", st)
 	}
 	dev, err := wg.WeightedNashDeviationPooled(0, pool)
 	if err != nil {

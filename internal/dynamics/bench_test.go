@@ -296,6 +296,9 @@ func BenchmarkDynamicsRoundStamps(b *testing.B) {
 						if d := after.DeltaRepairs - before.DeltaRepairs; d != 0 {
 							b.Fatalf("settled round ran %d delta repairs, want 0", d)
 						}
+						if d := after.Derives - before.Derives; d != 0 {
+							b.Fatalf("settled round derived %d matrices, want 0", d)
+						}
 						if after.StampSkips+after.MemoHits <= before.StampSkips+before.MemoHits {
 							b.Fatalf("settled round exercised no stamp fast path (stats %+v)", after)
 						}
@@ -425,6 +428,9 @@ func BenchmarkDynamicsRoundWeighted(b *testing.B) {
 						}
 						if d := after.Repairs - before.Repairs; d != 0 {
 							b.Fatalf("settled weighted round ran %d weight repairs, want 0", d)
+						}
+						if d := after.Derives - before.Derives; d != 0 {
+							b.Fatalf("settled weighted round derived %d matrices, want 0", d)
 						}
 					}
 					b.ResetTimer()

@@ -89,8 +89,8 @@ func TestRunWeightedExternalPoolAndSimultaneous(t *testing.T) {
 			t.Fatalf("pooled weighted run %d diverged: %+v vs %+v", i, res, first)
 		}
 	}
-	if st := pool.Stats(); st.Fills != int64(g.N()) {
-		t.Fatalf("external weighted pool refilled across runs: %+v", st)
+	if st := pool.Stats(); st.Acquires-st.Hits-st.Unpooled != int64(g.N()) {
+		t.Fatalf("external weighted pool rebuilt entries across runs: %+v", st)
 	}
 
 	sOpts := opts

@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Flat compressed-sparse-row adjacency. The pointer-per-vertex layout of
 // Und is convenient for mutation but hostile to the cache during bulk BFS
@@ -197,18 +200,24 @@ func (c *CSR) fillBatch(dst []int32, batch int, ms *maskScratch) {
 // one word-parallel BFS pass, writing each source's full row (row-major,
 // no symmetry trick: the subset is not a contiguous column block). The
 // repair path uses it to refill damaged rows at batch cost instead of
-// one scalar BFS per row.
+// one scalar BFS per row. A non-negative block is treated as deleted:
+// its reach mask starts full, so it is never reached, never expanded
+// and keeps InfDist in every row — BFS over c minus block, without
+// packing a second CSR.
 //
 // NOTE: the frontier loop is a deliberate triplet with fillBatch
 // (above) and aggBatch (ecc.go) — same reach/acc/front propagation,
 // different seeding and per-newly-reached action. The hot inner loops
 // cannot afford a per-edge closure, so a fix to the propagation must
 // be applied to all three.
-func (c *CSR) fillRowsSubset(srcs []int32, dst []int32, ms *maskScratch) {
+func (c *CSR) fillRowsSubset(srcs []int32, dst []int32, block int32, ms *maskScratch) {
 	n := c.N()
 	for i := range ms.reach {
 		ms.reach[i] = 0
 		ms.acc[i] = 0
+	}
+	if block >= 0 {
+		ms.reach[block] = ^uint64(0)
 	}
 	ms.list = ms.list[:0]
 	for i, s := range srcs {
@@ -255,4 +264,51 @@ func (c *CSR) DistanceRows() []int32 {
 	dst := make([]int32, n*n)
 	c.DistanceRowsInto(dst)
 	return dst
+}
+
+// ResetUnderlying repacks c as the CSR of the whole underlying graph
+// U(d), reusing c's buffers: a long-lived holder (the cache pool's
+// derive rung) refreshes it in place whenever the graph moves instead
+// of allocating a new view per mutation. A brace is one edge; neighbour
+// lists are duplicate-free but not sorted (no consumer needs an order).
+func (c *CSR) ResetUnderlying(d *Digraph) {
+	c.Indptr, c.Nbrs = packUnderlying(d, c.Indptr, c.Nbrs)
+}
+
+// packUnderlying writes the CSR of U(d) into indptr and nbrs, growing
+// them only when their capacity falls short.
+func packUnderlying(d *Digraph, indptr, nbrs []int32) ([]int32, []int32) {
+	n := d.N()
+	indptr = slices.Grow(indptr[:0], n+1)[:n+1]
+	clear(indptr)
+	// once reports whether arc u->v carries its undirected edge: a brace
+	// is counted from its lower endpoint only.
+	once := func(u, v int) bool { return u < v || !d.HasArc(v, u) }
+	for u, os := range d.out {
+		for _, v := range os {
+			if once(u, v) {
+				indptr[u+1]++
+				indptr[v+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		indptr[v+1] += indptr[v]
+	}
+	nbrs = slices.Grow(nbrs[:0], int(indptr[n]))[:indptr[n]]
+	// indptr[v] doubles as v's write cursor, ending at v's list end;
+	// shifting right by one restores the list starts.
+	for u, os := range d.out {
+		for _, v := range os {
+			if once(u, v) {
+				nbrs[indptr[u]] = int32(v)
+				indptr[u]++
+				nbrs[indptr[v]] = int32(u)
+				indptr[v]++
+			}
+		}
+	}
+	copy(indptr[1:], indptr[:n])
+	indptr[0] = 0
+	return indptr, nbrs
 }

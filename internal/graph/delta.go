@@ -31,34 +31,56 @@ package graph
 //     low-diameter graphs the game produces, usually even when it is
 //     near (alternative parents abound).
 //
-// When the damaged fraction exceeds RepairRefillFraction the per-row
-// plan is abandoned and the whole matrix is refilled by the batched
-// word-parallel filler, which is faster per row than scalar BFS; repair
-// therefore never costs much more than the refill it replaces.
+// When the delta exceeds RepairDeltaCap edges or the damaged fraction
+// exceeds RepairRefillFraction the per-row plan is abandoned and the
+// call reports a whole-matrix rebuild, leaving the rows untouched: the
+// caller either derives the matrix from an exact neighbouring one
+// (DeriveRows, derive.go) or refills it by the batched word-parallel
+// filler, which is faster per row than scalar BFS. Repair therefore
+// never costs much more than the refill it replaces.
 
 // RepairRefillFraction is the damaged-row fraction beyond which
-// RepairRows falls back to a full DistanceRowsInto refill.
+// RepairRows (and DeriveRows) give up on per-row work and ask for a
+// whole-matrix rebuild.
 var RepairRefillFraction = 0.25
+
+// RepairDeltaCap is the largest edge delta RepairRows classifies for an
+// n-vertex matrix: against a larger one the O(n·|delta|) classification
+// cannot beat the batched refill it is trying to avoid, and most rows
+// would classify as damaged anyway.
+func RepairDeltaCap(n int) int { return n/8 + 1 }
 
 // RepairStats reports what one RepairRows call did.
 type RepairStats struct {
-	RowsPatched  int  // rows improved in place (additions only)
-	RowsRefilled int  // damaged rows recomputed by fresh scalar BFS
-	FullRefill   bool // damage exceeded the threshold; matrix refilled
+	RowsPatched  int // rows improved in place (additions only)
+	RowsRefilled int // damaged rows recomputed by fresh BFS
+	// FullRefill reports that the delta was too large or too damaging
+	// for per-row repair: RepairRows left the rows untouched and the
+	// caller rebuilt the whole matrix. Derived then tells whether that
+	// rebuild was a DeriveRows derivation (RowsRefilled counts its
+	// damaged rows) rather than a whole fill.
+	FullRefill bool
+	Derived    bool
 	// Changed lists the sources whose rows changed (damaged then
 	// patched), or nil after a FullRefill (every row may have changed).
 	// The slice aliases the scratch and is valid until the next call.
 	Changed []int32
 }
 
-// DeltaScratch holds the reusable buffers of RepairRows. Not safe for
-// concurrent use.
+// DeltaScratch holds the reusable buffers of RepairRows and DeriveRows.
+// Not safe for concurrent use.
 type DeltaScratch struct {
 	queue   []int32
 	damaged []int32
 	patched []int32
 	changed []int32
 	buckets [][]int32 // improvement BFS bucket queue, indexed by distance
+
+	// DeriveRows only, allocated on its first call: x's re-insertion
+	// edges, the derived column x, and the subset-refill masks.
+	xedges [][2]int32
+	col    []int32
+	ms     *maskScratch
 }
 
 // NewDeltaScratch returns repair scratch for n-vertex matrices.
@@ -75,19 +97,16 @@ func NewDeltaScratch(n int) *DeltaScratch {
 // inserted into the graph, as endpoint pairs; they must be disjoint and
 // consistent with c. Self-classification makes the cost proportional to
 // the damage: untouched rows cost one scan over the delta, patched rows
-// one improvement BFS, damaged rows one fresh BFS — with a full batched
-// refill past RepairRefillFraction.
+// one improvement BFS, damaged rows one fresh BFS. Past RepairDeltaCap
+// edges or RepairRefillFraction damaged rows it reports FullRefill and
+// leaves rows untouched for the caller to rebuild whole.
 func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScratch) RepairStats {
 	n := c.N()
 	st := RepairStats{}
 	if n == 0 || len(removed)+len(added) == 0 {
 		return st
 	}
-	// Classification costs O(n · |delta|): against a delta this large it
-	// cannot beat the batched refill it is trying to avoid, and most rows
-	// would classify as damaged anyway.
-	if len(removed)+len(added) > n/8+1 {
-		c.DistanceRowsInto(rows)
+	if len(removed)+len(added) > RepairDeltaCap(n) {
 		st.FullRefill = true
 		return st
 	}
@@ -140,7 +159,6 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 		}
 	}
 	if float64(len(ds.damaged)) > RepairRefillFraction*float64(n) {
-		c.DistanceRowsInto(rows)
 		st.FullRefill = true
 		return st
 	}
@@ -152,11 +170,8 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 			func() *maskScratch { return newMaskScratch(n) },
 			func(ms *maskScratch, b int) {
 				lo := b * 64
-				hi := lo + 64
-				if hi > len(ds.damaged) {
-					hi = len(ds.damaged)
-				}
-				c.fillRowsSubset(ds.damaged[lo:hi], rows, ms)
+				hi := min(lo+64, len(ds.damaged))
+				c.fillRowsSubset(ds.damaged[lo:hi], rows, -1, ms)
 			})
 	}
 	ds.changed = append(ds.changed[:0], ds.damaged...)

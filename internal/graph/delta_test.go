@@ -50,7 +50,7 @@ func checkRepairAgainstRefill(t *testing.T, old, cur Und, skip int) {
 	}
 	rows := oldCSR.DistanceRows()
 	removed, added := DiffUnd(old, cur, skip)
-	st := newCSR.RepairRows(rows, removed, added, NewDeltaScratch(n))
+	st := repairOrRefill(t, newCSR, rows, removed, added)
 	want := newCSR.DistanceRows()
 	for i := range want {
 		if rows[i] != want[i] {
@@ -58,6 +58,24 @@ func checkRepairAgainstRefill(t *testing.T, old, cur Und, skip int) {
 				i/n, i%n, rows[i], want[i], removed, added, st)
 		}
 	}
+}
+
+// repairOrRefill runs RepairRows and, on a FullRefill report, checks
+// that the rows were left untouched before refilling them whole — the
+// caller's half of the contract.
+func repairOrRefill(t *testing.T, c *CSR, rows []int32, removed, added [][2]int32) RepairStats {
+	t.Helper()
+	before := append([]int32(nil), rows...)
+	st := c.RepairRows(rows, removed, added, NewDeltaScratch(c.N()))
+	if st.FullRefill {
+		for i := range rows {
+			if rows[i] != before[i] {
+				t.Fatalf("FullRefill report touched cell %d", i)
+			}
+		}
+		c.DistanceRowsInto(rows)
+	}
+	return st
 }
 
 // Repairing a cached matrix after a single-owner rewiring must agree

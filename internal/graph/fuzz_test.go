@@ -233,7 +233,7 @@ func FuzzDeltaBFS(f *testing.F) {
 			}
 			rows := oldCSR.DistanceRows()
 			removed, added := DiffUnd(old, cur, skip)
-			newCSR.RepairRows(rows, removed, added, NewDeltaScratch(n))
+			repairOrRefill(t, newCSR, rows, removed, added)
 			want := newCSR.DistanceRows()
 			for i := range want {
 				if rows[i] != want[i] {

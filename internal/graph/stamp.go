@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -135,79 +136,125 @@ func normEdge(a, b int) [2]int32 {
 	return [2]int32{int32(a), int32(b)}
 }
 
+// EdgeDelta is the net undirected-edge delta DeltaSince reports.
+type EdgeDelta struct {
+	// Removed and Added are sorted lexicographically and consistent with
+	// the current graph (multi-generation toggles cancel).
+	Removed, Added [][2]int32
+	// InTouched reports whether any non-u mutation added or removed an
+	// arc targeting u (i.e. in(u) may have changed).
+	InTouched bool
+	// Oversized reports that the net delta has more edges than the
+	// caller's limit; Removed and Added are then left nil.
+	Oversized bool
+}
+
 // DeltaSince reports the net undirected-edge delta of this graph
 // relative to its state at generation since, excluding edges incident
 // to u and mutations performed by u itself (both irrelevant to u's
-// deviation cache, which excludes u's owned arcs and vertex u).
-// inTouched reports whether any non-u mutation added or removed an arc
-// targeting u (i.e. in(u) may have changed). ok is false when the
-// journal does not cover (since, Gen()] — the caller must fall back to
-// a full diff. removed and added are sorted lexicographically and
-// consistent with the current graph (multi-generation toggles cancel).
-func (g *Digraph) DeltaSince(since int64, u int) (removed, added [][2]int32, inTouched, ok bool) {
+// deviation cache, which excludes u's owned arcs and vertex u). ok is
+// false when the journal does not cover (since, Gen()] — the caller
+// must fall back to a full diff.
+//
+// A non-negative limit caps the net delta the caller can use: a larger
+// one is reported as Oversized as soon as the remaining journal entries
+// could no longer cancel it back under the limit, before any list is
+// built or sorted. A negative limit always nets the whole delta.
+func (g *Digraph) DeltaSince(since int64, u, limit int) (dl EdgeDelta, ok bool) {
 	if since == g.gen {
-		return nil, nil, false, true
+		return dl, true
 	}
 	if g.j == nil || since < g.j.base || since > g.gen {
-		return nil, nil, false, false
+		return dl, false
 	}
+	// Entries are in generation order: seek past since instead of
+	// scanning the whole window.
+	es := g.j.entries
+	es = es[sort.Search(len(es), func(i int) bool { return es[i].gen > since }):]
 	uTouchable := g.nodeGen == nil || g.nodeGen[u] > since
-	net := make(map[[2]int32]int8)
-	for i := range g.j.entries {
-		e := &g.j.entries[i]
-		if e.gen <= since {
+	u32 := int32(u)
+	// First pass: in(u) and the raw toggle count, which bounds how far
+	// the remaining entries can still cancel the net delta.
+	raw := 0
+	for i := range es {
+		e := &es[i]
+		if e.owner == u32 {
 			continue
 		}
-		if int(e.owner) == u {
-			continue
+		if uTouchable && !dl.InTouched &&
+			(slices.Contains(e.tgtAdd, u32) || slices.Contains(e.tgtRem, u32)) {
+			dl.InTouched = true
 		}
-		if uTouchable && !inTouched {
-			for _, t := range e.tgtAdd {
-				if int(t) == u {
-					inTouched = true
-					break
-				}
-			}
-			if !inTouched {
-				for _, t := range e.tgtRem {
-					if int(t) == u {
-						inTouched = true
-						break
-					}
-				}
-			}
+		raw += togglesOff(e.undAdd, u32) + togglesOff(e.undRem, u32)
+	}
+	if raw == 0 {
+		return dl, true
+	}
+	net := make(map[[2]int32]int8, min(raw, 64))
+	nonzero, left := 0, raw
+	toggle := func(ed [2]int32, by int8) {
+		c := net[ed]
+		switch {
+		case c == 0:
+			nonzero++
+		case c+by == 0:
+			nonzero--
+		}
+		net[ed] = c + by
+		left--
+	}
+	for i := range es {
+		e := &es[i]
+		if e.owner == u32 {
+			continue
 		}
 		for _, ed := range e.undAdd {
-			if int(ed[0]) == u || int(ed[1]) == u {
-				continue
+			if ed[0] != u32 && ed[1] != u32 {
+				toggle(ed, 1)
 			}
-			net[ed]++
 		}
 		for _, ed := range e.undRem {
-			if int(ed[0]) == u || int(ed[1]) == u {
-				continue
+			if ed[0] != u32 && ed[1] != u32 {
+				toggle(ed, -1)
 			}
-			net[ed]--
 		}
+		if limit >= 0 && nonzero-left > limit {
+			break // left is 0 after the last entry: the net delta itself
+		}
+	}
+	if limit >= 0 && nonzero-left > limit {
+		dl.Oversized = true
+		return dl, true
 	}
 	for ed, c := range net {
 		switch {
 		case c > 0:
-			added = append(added, ed)
+			dl.Added = append(dl.Added, ed)
 		case c < 0:
-			removed = append(removed, ed)
+			dl.Removed = append(dl.Removed, ed)
 		}
 	}
-	sortEdges(removed)
-	sortEdges(added)
-	return removed, added, inTouched, true
+	sortEdges(dl.Removed)
+	sortEdges(dl.Added)
+	return dl, true
+}
+
+// togglesOff counts the edges of es not incident to u.
+func togglesOff(es [][2]int32, u int32) int {
+	k := 0
+	for _, ed := range es {
+		if ed[0] != u && ed[1] != u {
+			k++
+		}
+	}
+	return k
 }
 
 func sortEdges(es [][2]int32) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
+	slices.SortFunc(es, func(a, b [2]int32) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
 		}
-		return es[i][1] < es[j][1]
+		return int(a[1] - b[1])
 	})
 }

@@ -153,18 +153,32 @@ func TestStampDeltaSinceMatchesDiffUnd(t *testing.T) {
 		cur := take()
 		for _, old := range snaps {
 			for u := 0; u < n; u++ {
-				removed, added, inTouched, ok := g.DeltaSince(old.gen, u)
+				dl, ok := g.DeltaSince(old.gen, u, -1)
 				if !ok {
 					t.Fatalf("trial %d: unbounded journal reported !ok", trial)
 				}
 				wantRem, wantAdd := DiffUnd(old.base[u], cur.base[u], u)
-				if !edgesEqual(removed, wantRem) || !edgesEqual(added, wantAdd) {
-					t.Fatalf("trial %d u=%d since=%d: delta mismatch\n got -%v +%v\nwant -%v +%v",
-						trial, u, old.gen, removed, added, wantRem, wantAdd)
+				if dl.Oversized || !edgesEqual(dl.Removed, wantRem) || !edgesEqual(dl.Added, wantAdd) {
+					t.Fatalf("trial %d u=%d since=%d: delta mismatch\n got -%v +%v (oversized %v)\nwant -%v +%v",
+						trial, u, old.gen, dl.Removed, dl.Added, dl.Oversized, wantRem, wantAdd)
 				}
 				inChanged := !intsEqual(old.in[u], cur.in[u])
-				if inChanged && !inTouched {
+				if inChanged && !dl.InTouched {
 					t.Fatalf("trial %d u=%d: in(u) changed but inTouched=false", trial, u)
+				}
+				// A capped query is oversized exactly when the net delta
+				// exceeds the cap, and otherwise returns the same delta.
+				limit := (u + int(old.gen)) % 6
+				capped, ok := g.DeltaSince(old.gen, u, limit)
+				if !ok {
+					t.Fatalf("trial %d: capped query reported !ok", trial)
+				}
+				if over := len(wantRem)+len(wantAdd) > limit; capped.Oversized != over {
+					t.Fatalf("trial %d u=%d since=%d limit=%d: oversized=%v, net delta has %d edges",
+						trial, u, old.gen, limit, capped.Oversized, len(wantRem)+len(wantAdd))
+				}
+				if !capped.Oversized && (!edgesEqual(capped.Removed, wantRem) || !edgesEqual(capped.Added, wantAdd)) {
+					t.Fatalf("trial %d u=%d limit=%d: capped delta differs from the full one", trial, u, limit)
 				}
 			}
 		}
@@ -181,20 +195,20 @@ func TestStampJournalOverflow(t *testing.T) {
 			g.RemoveArc(u, u+1)
 		}
 	}
-	if _, _, _, ok := g.DeltaSince(start, 0); ok {
+	if _, ok := g.DeltaSince(start, 0, -1); ok {
 		t.Fatal("overflowed journal still claimed coverage of the start")
 	}
 	recent := g.Gen()
 	g.AddArc(0, 5)
-	if _, _, _, ok := g.DeltaSince(recent, 1); !ok {
+	if _, ok := g.DeltaSince(recent, 1, -1); !ok {
 		t.Fatal("journal lost coverage of the most recent generation")
 	}
 	// Clones carry stamps but never the journal.
 	c := g.Clone()
-	if _, _, _, ok := c.DeltaSince(c.Gen()-1, 0); ok {
+	if _, ok := c.DeltaSince(c.Gen()-1, 0, -1); ok {
 		t.Fatal("clone inherited the journal")
 	}
-	if _, _, _, ok := c.DeltaSince(c.Gen(), 0); !ok {
+	if _, ok := c.DeltaSince(c.Gen(), 0, -1); !ok {
 		t.Fatal("same-generation query should be ok even without a journal")
 	}
 }

@@ -23,19 +23,26 @@ package graph
 //     Weighted distances exceed n, so the patch runs on the binary heap
 //     rather than delta.go's n+1-bucket queue.
 //
-// The thresholds mirror delta.go: classification is abandoned for a
-// full refill past n/8+1 delta edges or RepairRefillFraction damaged
-// rows. With BBNCG_WSTEP=0 the repair degrades to a full scalar
-// Dijkstra refill — the complete reference path the fuzz and property
-// suites pin the incremental path against, bit for bit.
+// The thresholds mirror delta.go: classification is abandoned past
+// RepairDeltaCap delta edges or RepairRefillFraction damaged rows, and
+// the call reports FullRefill with the rows untouched for the caller to
+// rebuild whole. With BBNCG_WSTEP=0 every repair reports FullRefill, so
+// callers degrade to a full scalar Dijkstra refill — the complete
+// reference path the fuzz and property suites pin the incremental path
+// against, bit for bit.
 
-// WDeltaScratch holds the reusable buffers of RepairRowsWeighted. Not
-// safe for concurrent use.
+// WDeltaScratch holds the reusable buffers of RepairRowsWeighted and
+// DeriveRowsWeighted. Not safe for concurrent use.
 type WDeltaScratch struct {
 	damaged []int32
 	patched []int32
 	changed []int32
 	heap    []int64
+
+	// DeriveRowsWeighted only, allocated on its first call.
+	xedges []WEdge
+	col    []int32
+	ws     *wScratch
 }
 
 // NewWDeltaScratch returns weighted repair scratch for n-vertex
@@ -51,15 +58,15 @@ func NewWDeltaScratch(n int) *WDeltaScratch {
 // expressed as removed(old weight) + added(new weight). off supplies
 // the per-row offsets (nil = all zero) for damaged-row refills; it must
 // already reflect the *new* state. The repaired matrix is bit-identical
-// to a fresh DistanceRowsInto fill.
+// to a fresh DistanceRowsInto fill; a FullRefill report leaves rows
+// untouched for the caller to rebuild whole.
 func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WEdge, ds *WDeltaScratch) RepairStats {
 	n := c.N()
 	st := RepairStats{}
 	if n == 0 || len(removed)+len(added) == 0 {
 		return st
 	}
-	if !WStepEnabled() || len(removed)+len(added) > n/8+1 {
-		c.DistanceRowsInto(rows, off)
+	if !WStepEnabled() || len(removed)+len(added) > RepairDeltaCap(n) {
 		st.FullRefill = true
 		return st
 	}
@@ -114,7 +121,6 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WE
 		}
 	}
 	if float64(len(ds.damaged)) > RepairRefillFraction*float64(n) {
-		c.DistanceRowsInto(rows, off)
 		st.FullRefill = true
 		return st
 	}
@@ -130,7 +136,7 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WE
 				if off != nil {
 					o = off[s]
 				}
-				c.steppingRow(s, rows[int(s)*n:(int(s)+1)*n], o, ws)
+				c.steppingRow(s, rows[int(s)*n:(int(s)+1)*n], o, -1, ws)
 			})
 	}
 	ds.changed = append(ds.changed[:0], ds.damaged...)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -322,7 +323,7 @@ func (c *WCSR) DistanceRowsInto(dst []int32, off []int32) {
 // fillRow fills one source's offset-adjusted row by the selected fill.
 func (c *WCSR) fillRow(src int32, row []int32, o int32, ws *wScratch, stepping bool) {
 	if stepping {
-		c.steppingRow(src, row, o, ws)
+		c.steppingRow(src, row, o, -1, ws)
 	} else {
 		c.dijkstraRow(src, row, o, ws)
 	}
@@ -335,12 +336,18 @@ func (c *WCSR) fillRow(src int32, row []int32, o int32, ws *wScratch, stepping b
 // bucket is scanned to a fixed point (light edges requeue into the
 // bucket being scanned, which the in-loop reload picks up) before the
 // ring advances. Stale queue entries are skipped by the lazy validity
-// check against the row.
-func (c *WCSR) steppingRow(src int32, row []int32, o int32, ws *wScratch) {
+// check against the row. A non-negative block (never src) is treated
+// as deleted: it holds a below-any-distance placeholder during the scan,
+// so no relaxation enters it, and ends at InfDist — SSSP over c minus
+// block without packing a second WCSR.
+func (c *WCSR) steppingRow(src int32, row []int32, o, block int32, ws *wScratch) {
 	for i := range row {
 		row[i] = InfDist
 	}
 	row[src] = o
+	if block >= 0 {
+		row[block] = -1
+	}
 	delta := steppingDelta(c.MaxW)
 	nb := len(ws.buckets)
 	ws.buckets[0] = append(ws.buckets[0][:0], src)
@@ -368,6 +375,9 @@ func (c *WCSR) steppingRow(src int32, row []int32, o int32, ws *wScratch) {
 			b = ws.buckets[cur%nb] // light-edge pushes land here; reload
 		}
 		ws.buckets[cur%nb] = b[:0]
+	}
+	if block >= 0 {
+		row[block] = InfDist
 	}
 }
 
@@ -439,4 +449,18 @@ func heapPop(h []int64) (int64, []int64) {
 		i = s
 	}
 	return top, h
+}
+
+// ResetUnderlying repacks c as the weighted CSR of the whole underlying
+// graph U(d) under wts, reusing c's buffers — the weighted counterpart
+// of CSR.ResetUnderlying.
+func (c *WCSR) ResetUnderlying(d *Digraph, wts *Weights) {
+	c.Indptr, c.Nbrs = packUnderlying(d, c.Indptr, c.Nbrs)
+	c.W = slices.Grow(c.W[:0], len(c.Nbrs))[:len(c.Nbrs)]
+	for v := 0; v < d.N(); v++ {
+		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
+			c.W[k] = wts.Of(v, int(c.Nbrs[k]))
+		}
+	}
+	c.MaxW = wts.MaxW()
 }

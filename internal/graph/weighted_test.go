@@ -263,7 +263,16 @@ func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32
 	rows := wRows(oldCSR, nil)
 	newCSR := NewWCSRExcluding(cur, wts, skip)
 	removed, added := weightedDelta(old, cur, skip, snap, wts)
+	before := append([]int32(nil), rows...)
 	st := newCSR.RepairRowsWeighted(rows, nil, removed, added, NewWDeltaScratch(n))
+	if st.FullRefill {
+		for i := range rows {
+			if rows[i] != before[i] {
+				t.Fatalf("skip=%d: FullRefill report touched cell %d", skip, i)
+			}
+		}
+		newCSR.DistanceRowsInto(rows, nil)
+	}
 	want := make([]int32, n*n)
 	ws := newWScratch(newCSR.MaxW)
 	for s := 0; s < n; s++ {

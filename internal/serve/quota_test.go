@@ -112,23 +112,33 @@ func TestQuotaConcurrencyCap(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	// Wait until the slow request occupies the slot.
+	// Wait until the slow request occupies the slot. The wait polls the
+	// quota-exempt in-flight gauge: probing as alice could itself hold
+	// her only slot at the moment the slow request arrives and get that
+	// request rejected instead.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp, env := get(t, ts, "GET", "/v1/sessions/c", "alice")
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if env.Err.Code != api.CodeConcurrencyLimited {
-				t.Fatalf("cap code %q", env.Err.Code)
-			}
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
+		var st api.StatsSnapshot
+		if code := call(t, ts, "GET", "/statsz", nil, &st); code != 200 {
+			t.Fatalf("statsz: %d", code)
+		}
+		if st.InFlight > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("never hit the concurrency cap")
+			t.Fatal("the slow request never took the slot")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	resp, env := get(t, ts, "GET", "/v1/sessions/c", "alice")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("never hit the concurrency cap: %d", resp.StatusCode)
+	}
+	if env.Err.Code != api.CodeConcurrencyLimited {
+		t.Fatalf("cap code %q", env.Err.Code)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
 	}
 	if resp, _ := get(t, ts, "GET", "/v1/sessions/c", "bob"); resp.StatusCode != 200 {
 		t.Fatalf("other client caught in alice's cap: %d", resp.StatusCode)

@@ -138,7 +138,7 @@ type (
 
 // CachePool keeps per-player distance caches warm across the mutations
 // of one graph; PoolStats are its lifetime counters (StampSkips,
-// DeltaRepairs, Resyncs, MemoHits, ...).
+// DeltaRepairs, Resyncs, Derives, MemoHits, ...).
 type (
 	CachePool = core.CachePool
 	PoolStats = core.PoolStats
