@@ -131,21 +131,6 @@ func TestRegistryConsistent(t *testing.T) {
 	}
 }
 
-// The generation-stamp ladder (BBNCG_STAMPS) must be invisible in
-// output: with stamps forced off the diff-always resync path serves the
-// same goldens byte for byte. Spot check over stamp-sensitive commands
-// (dynamics-heavy sweeps); the full 22-golden sweep across knobs runs
-// out of band.
-func TestGoldenStampsOff(t *testing.T) {
-	t.Setenv("BBNCG_STAMPS", "0")
-	for _, cmd := range []string{"dyn", "fip", "simul"} {
-		t.Run(cmd, func(t *testing.T) {
-			got := runCLI(t, &app{effort: experiments.Quick, seed: 1}, cmd)
-			checkGolden(t, cmd, got)
-		})
-	}
-}
-
 // The golden files themselves must be deterministic: two fresh runs of
 // the same command agree byte for byte (guards against accidental
 // nondeterminism creeping into the parallel sweeps).

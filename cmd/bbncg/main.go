@@ -375,8 +375,8 @@ continues an interrupted -out run; -shard i/k evaluates one
 deterministic partition of every point list (run all k shards, fetch,
 then merge). -retry N re-attempts transiently failing points;
 -max-failures N quarantines up to N failed points for a later -resume
-(exit code 3). -poolmb caps the incremental dynamics cache pool
-(BBNCG_INCREMENTAL=0 disables it). See docs/RUNNER.md.
+(exit code 3). -poolmb caps the incremental dynamics cache pool. See
+docs/RUNNER.md.
 `)
 }
 

@@ -49,7 +49,7 @@ func BenchmarkFoldExperiment(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wg := core.NewWeighted(tree.Clone())
+		wg := core.NewVertexWeighted(tree.Clone())
 		if _, err := FoldExperiment(wg); err != nil {
 			b.Fatal(err)
 		}

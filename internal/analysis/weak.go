@@ -83,7 +83,7 @@ type RichLeafAudit struct {
 
 // AuditRichLeaves measures the maximum pairwise distance between rich
 // leaves of wg. On weighted weak equilibria Lemma 6.4 caps it at 2.
-func AuditRichLeaves(wg *core.WeightedGraph) RichLeafAudit {
+func AuditRichLeaves(wg *core.VertexWeighted) RichLeafAudit {
 	audit := RichLeafAudit{RichLeaves: wg.RichLeaves(), Holds: true}
 	a := wg.D.Underlying()
 	for i, u := range audit.RichLeaves {
@@ -119,7 +119,7 @@ type FoldReport struct {
 // measure, fold all poor leaves, re-measure. The weak-equilibrium flags
 // let tests confirm the corollary's "G' is also a weak equilibrium"
 // claim on graphs that start as weak equilibria.
-func FoldExperiment(wg *core.WeightedGraph) (FoldReport, error) {
+func FoldExperiment(wg *core.VertexWeighted) (FoldReport, error) {
 	if wg.AliveCount() == 0 {
 		return FoldReport{}, fmt.Errorf("analysis: empty weighted graph")
 	}
@@ -144,7 +144,7 @@ func FoldExperiment(wg *core.WeightedGraph) (FoldReport, error) {
 
 // aliveDiameter computes the diameter of the subgraph induced by alive
 // vertices (the folded graph), -1 if disconnected or empty.
-func aliveDiameter(wg *core.WeightedGraph) int32 {
+func aliveDiameter(wg *core.VertexWeighted) int32 {
 	a := wg.D.Underlying()
 	alive := make([]int, 0, wg.D.N())
 	for v := 0; v < wg.D.N(); v++ {

@@ -87,7 +87,7 @@ func TestMaxTreeBallRadiusEquilibriaLogBound(t *testing.T) {
 func TestAuditRichLeavesPath(t *testing.T) {
 	// Directed path 0->1->...->4: vertex 0 is a rich leaf (degree 1,
 	// owns an arc); vertex 4 is a poor leaf. Only one rich leaf: holds.
-	wg := core.NewWeighted(graph.PathGraph(5))
+	wg := core.NewVertexWeighted(graph.PathGraph(5))
 	audit := AuditRichLeaves(wg)
 	if len(audit.RichLeaves) != 1 || audit.RichLeaves[0] != 0 {
 		t.Fatalf("rich leaves = %v, want [0]", audit.RichLeaves)
@@ -106,7 +106,7 @@ func TestAuditRichLeavesViolationDetected(t *testing.T) {
 	d.AddArc(1, 2)
 	d.AddArc(3, 2)
 	d.AddArc(4, 3)
-	wg := core.NewWeighted(d)
+	wg := core.NewVertexWeighted(d)
 	audit := AuditRichLeaves(wg)
 	if len(audit.RichLeaves) != 2 {
 		t.Fatalf("rich leaves = %v, want two", audit.RichLeaves)
@@ -122,7 +122,7 @@ func TestAuditRichLeavesViolationDetected(t *testing.T) {
 }
 
 func TestFoldExperimentStar(t *testing.T) {
-	wg := core.NewWeighted(graph.StarGraph(9))
+	wg := core.NewVertexWeighted(graph.StarGraph(9))
 	report, err := FoldExperiment(wg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestFoldExperimentBinaryTreePreservesWeakEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := core.NewWeighted(d.Clone())
+	wg := core.NewVertexWeighted(d.Clone())
 	report, err := FoldExperiment(wg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestFoldExperimentBinaryTreePreservesWeakEquilibrium(t *testing.T) {
 }
 
 func TestFoldExperimentEmptyGraph(t *testing.T) {
-	wg := core.NewWeighted(graph.NewDigraph(0))
+	wg := core.NewVertexWeighted(graph.NewDigraph(0))
 	if _, err := FoldExperiment(wg); err == nil {
 		t.Fatal("empty graph accepted")
 	}

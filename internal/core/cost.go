@@ -131,13 +131,12 @@ type Deviator struct {
 	wes  *graph.WEvalScratch
 	cinf int64
 
-	// SUM evaluation kernel state (see sumkernel.go). sumOn snapshots
-	// SumKernelEnabled at construction; colMin is an entrywise lower
-	// bound of every cached row (exact after fill/refill, folded — and
-	// possibly slack — after row repairs); sumSufT holds the per-scan
-	// tiered suffix-bound scratch and sumSufIn the memoised inMin-only
-	// bound for EvalBounded (valid while sumSufInOK).
-	sumOn      bool
+	// SUM evaluation kernel state (see sumkernel.go). colMin is an
+	// entrywise lower bound of every cached row (exact after
+	// fill/refill, folded — and possibly slack — after row repairs);
+	// sumSufT holds the per-scan tiered suffix-bound scratch and
+	// sumSufIn the memoised inMin-only bound for EvalBounded (valid
+	// while sumSufInOK).
 	colMin     []int32
 	sumSufT    [][]int64
 	sumSufIn   []int64
@@ -161,7 +160,6 @@ func NewDeviator(g *Game, d *graph.Digraph, u int) *Deviator {
 		comps: comps,
 		seen:  make([]bool, comps+1),
 		s:     graph.NewScratch(d.N()),
-		sumOn: SumKernelEnabled(),
 		cinf:  g.Cinf(),
 	}
 }

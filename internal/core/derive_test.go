@@ -10,39 +10,65 @@ import (
 
 // The derive rung against the fill it replaces: on every generator
 // family, both versions and weights maxW ∈ {1 (unweighted tier), 4,
-// 16}, a stamped pool that derives player y's matrix from an exact
-// donor x must stay bit-identical to a forced-diff pool (stamps off,
-// hence no derive rung) that fills it — rows, inMin, colMin, SUM memo,
-// level sets, stability streak and best responses — through the
-// derivation and the acquisitions after it. The cases put y next to x,
-// brace x and y, leave x owning no arcs (reachable through in-arcs
-// only), and make y a top-degree vertex, whose deletion disconnects the
-// path, star and tree families.
+// 16}, a pool over a journaled graph that derives player y's matrix
+// from an exact donor x must stay bit-identical to a reference pool
+// over a journal-less twin of the graph (see mirror) — no donor is
+// exact there after a generation bump, so the reference fills and
+// resyncs where the journaled pool derives — through the derivation and
+// the acquisitions after it: rows, inMin, colMin, SUM memo, level sets,
+// stability streak and best responses. The cases put y next to x, brace
+// x and y, leave x owning no arcs (reachable through in-arcs only), and
+// make y a top-degree vertex, whose deletion disconnects the path, star
+// and tree families.
 func TestPropertyDeriveMatchesFill(t *testing.T) {
 	defer func(f float64) { graph.RepairRefillFraction = f }(graph.RepairRefillFraction)
 	rng := rand.New(rand.NewSource(9003))
 	for _, frac := range []float64{0.25, 1} {
 		graph.RepairRefillFraction = frac
-		var derives int64
+		var derives, refResyncs int64
 		for _, inst := range generatorCorpus(rng) {
 			for _, version := range []Version{SUM, MAX} {
 				for _, maxW := range []int32{1, 4, 16} {
 					for c := 0; c < 4; c++ {
-						derives += deriveCase(t, inst.name, inst.d, version, maxW, c, rng)
+						st, ref := deriveCase(t, inst.name, inst.d, version, maxW, c, rng)
+						derives += st.Derives
+						refResyncs += ref.Resyncs
 					}
 				}
 			}
 		}
-		t.Logf("RepairRefillFraction %.2f: %d derivations", frac, derives)
+		t.Logf("RepairRefillFraction %.2f: %d derivations, reference %d resyncs", frac, derives, refResyncs)
 		if frac == 1 && derives == 0 {
 			t.Fatal("the derive rung never ran")
+		}
+		if refResyncs == 0 {
+			t.Fatal("the reference pool never resynced")
 		}
 	}
 }
 
+// mirror replays src's out-sets onto dst, a journal-less twin, and then
+// advances dst's generation even when nothing moved, by setting vertex
+// 0's out-set to a different set and back. Every stale entry of a pool
+// over dst then fails the generation check and, with no journal to
+// consult, takes the Resync rung (Deviator.Repair) — the forced diff the
+// stamp skip and the journal delta are compared against.
+func mirror(dst, src *graph.Digraph) {
+	for v := 0; v < src.N(); v++ {
+		dst.SetOut(v, src.Out(v))
+	}
+	out := append([]int(nil), dst.Out(0)...)
+	if len(out) > 0 {
+		dst.SetOut(0, out[1:])
+	} else {
+		dst.SetOut(0, []int{1})
+	}
+	dst.SetOut(0, out)
+}
+
 // deriveCase runs one derive scenario (see TestPropertyDeriveMatchesFill)
-// and returns the stamped pool's derive count.
-func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version, maxW int32, c int, rng *rand.Rand) int64 {
+// and returns the journaled and the reference pool's counters.
+func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version, maxW int32, c int, rng *rand.Rand) (st, ref PoolStats) {
 	t.Helper()
 	d := start.Clone()
 	n := d.N()
@@ -68,27 +94,27 @@ func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version
 		}
 	}
 	g := GameOf(d, version)
+	twin := d.Clone() // Clone never copies a journal
 	d.StartJournal(0)
 	var wts *graph.Weights
 	if maxW > 1 {
 		wts = graph.NewWeights(n, rng.Int63(), maxW)
 	}
-	t.Setenv("BBNCG_STAMPS", "0")
-	diffPool := NewWeightedCachePool(g, 0, wts)
-	defer diffPool.Close()
-	t.Setenv("BBNCG_STAMPS", "1")
-	stampPool := NewWeightedCachePool(g, 0, wts)
-	defer stampPool.Close()
+	refPool := NewWeightedCachePool(g, 0, wts)
+	defer refPool.Close()
+	pool := NewWeightedCachePool(g, 0, wts)
+	defer pool.Close()
 	step := 0
 	acquire := func(u int) {
 		t.Helper()
 		step++
-		stampPool.Invalidate()
-		diffPool.Invalidate()
-		ds, dd := stampPool.Acquire(d, u), diffPool.Acquire(d, u)
+		mirror(twin, d)
+		pool.Invalidate()
+		refPool.Invalidate()
+		ds, dd := pool.Acquire(d, u), refPool.Acquire(twin, u)
 		sameDeviatorState(t, name, version, maxW, u, step, ds, dd)
 		if g.Budgets[u] > 0 {
-			brS, brD := GreedyDeviatorResponder(g, d, ds), GreedyDeviatorResponder(g, d, dd)
+			brS, brD := GreedyDeviatorResponder(g, d, ds), GreedyDeviatorResponder(g, twin, dd)
 			if brS.Cost != brD.Cost || brS.Current != brD.Current || brS.Explored != brD.Explored ||
 				!equalInts(brS.Strategy, brD.Strategy) {
 				t.Fatalf("%s %v maxW=%d u=%d step %d: derived %+v, filled %+v", name, version, maxW, u, step, brS, brD)
@@ -115,7 +141,10 @@ func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version
 	for k := 0; k < 3; k++ {
 		acquire(y) // settling: the streak climbs and levels appear
 	}
-	return stampPool.Stats().Derives
+	if ref = refPool.Stats(); ref.DeltaRepairs != 0 || ref.StampSkips != 0 || ref.Derives != 0 {
+		t.Fatalf("%s %v maxW=%d: reference pool took a stamp, the journal or a donor: %+v", name, version, maxW, ref)
+	}
+	return pool.Stats(), ref
 }
 
 // sameDeviatorState fails unless two Deviators for the same player and

@@ -277,10 +277,10 @@ func (dv *Deviator) refillWhole(d *graph.Digraph, base graph.Und, st *graph.Repa
 
 // RepairDelta brings the Deviator in sync with d after an exact
 // undirected-edge delta supplied by the graph's mutation journal
-// (stamped pools). The delta must exclude edges incident to u and
-// reflect an unchanged in(u) anchor set — the pool only takes this path
-// when the journal certifies both — so the fixed adjacency is patched
-// in place and the anchor fold rebuilt without the O(n+m)
+// (CachePool's DeltaRepair rung). The delta must exclude edges incident
+// to u and reflect an unchanged in(u) anchor set — the pool only takes
+// this path when the journal certifies both — so the fixed adjacency
+// is patched in place and the anchor fold rebuilt without the O(n+m)
 // UnderlyingWithout + DiffUnd resync that Repair pays. The resulting
 // state is bit-identical to Repair against the same target graph.
 func (dv *Deviator) RepairDelta(d *graph.Digraph, removed, added [][2]int32) graph.RepairStats {
@@ -419,7 +419,6 @@ func (dv *Deviator) clone() *Deviator {
 		s:      graph.NewScratch(dv.game.N()),
 		rows:   dv.rows,
 		inMin:  dv.inMin,
-		sumOn:  dv.sumOn,
 		colMin: dv.colMin, // immutable while clones are live; suffix scratch stays private
 		wts:    dv.wts,
 		woff:   dv.woff,
@@ -444,43 +443,15 @@ func (dv *Deviator) aggregate(vec []int32, extra int) graph.BFSResult {
 	}
 	switch dv.game.Version {
 	case SUM:
-		// The plain scan stays on the scalar pass: it compiles to a
-		// branchless ~2-cycle/entry loop that the strip-structured kernel
-		// cannot beat (measured in BENCH_3.json's methodology); the
-		// blocked kernel earns its keep only where the pruning bound
-		// checks need its strip structure (sumEvalBounded).
-		return sumKernel(vec, row)
+		// SumMerge's reach count excludes the source, which the
+		// aggregates count.
+		sum, reached := graph.SumMerge(vec, row)
+		return graph.BFSResult{Sum: sum, Reached: reached + 1}
 	case MAX:
 		return maxKernel(vec, row)
 	default:
 		panic("core: unknown version")
 	}
-}
-
-// sumKernel is the fused min+sum pass of the SUM cost: distance sum and
-// reached count of min(vec, row) (row may be nil).
-func sumKernel(vec, row []int32) graph.BFSResult {
-	var sum int64
-	reached := 1
-	if row != nil {
-		for w, m := range vec {
-			if r := row[w]; r < m {
-				m = r
-			}
-			if m < graph.InfDist {
-				sum += int64(m) + 1
-				reached++
-			}
-		}
-	} else {
-		for _, m := range vec {
-			if m < graph.InfDist {
-				sum += int64(m) + 1
-				reached++
-			}
-		}
-	}
-	return graph.BFSResult{Sum: sum, Reached: reached}
 }
 
 // maxKernel is the fused min+max pass of the MAX cost: eccentricity and
@@ -611,7 +582,7 @@ func (dv *Deviator) evalCached(strategy []int) int64 {
 			break
 		}
 	}
-	if dv.sumOn && dv.game.Version == SUM {
+	if dv.game.Version == SUM {
 		// SUM never reads the eccentricity or the component count, so the
 		// whole evaluation is one (or, past two anchors, a merged) blocked
 		// kernel pass instead of the per-vertex strategy loop below.

@@ -44,8 +44,8 @@ func ExampleGame_VerifyNash() {
 }
 
 // Section 6's weighted folding: leaves collapse into their owners.
-func ExampleWeightedGraph_FoldAllPoorLeaves() {
-	wg := core.NewWeighted(graph.StarGraph(4))
+func ExampleVertexWeighted_FoldAllPoorLeaves() {
+	wg := core.NewVertexWeighted(graph.StarGraph(4))
 	folds := wg.FoldAllPoorLeaves()
 	fmt.Println(folds, wg.W[0], wg.AliveCount())
 	// Output: 3 4 1

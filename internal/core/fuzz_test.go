@@ -10,7 +10,7 @@ import (
 // FuzzSumPrune is the native fuzz target of the SUM pruning layer: on
 // arbitrary byte-decoded realizations it checks that the bounded kernel
 // never rejects the true best candidate — the greedy, swap and exact
-// responders with pruning on must match the scalar paths exactly — and
+// responders on a pruning Deviator must match the oracle exactly — and
 // that EvalBounded's prune certificate (cost strictly above the bound)
 // holds for arbitrary strategies and budgets. CI runs it as a smoke on
 // top of the seeded corpus; the corpus seeds mirror the 8 generator
@@ -86,38 +86,35 @@ func FuzzSumPrune(f *testing.F) {
 		n := g.N()
 		u := int(uPick) % n
 
-		// Responder equivalence: pruning on (a pool-owned Deviator past
-		// the stability hysteresis, so the tier bounds and memo engage)
-		// vs the scalar path. Each responder runs twice on the pooled
+		// Responder equivalence: a pool-owned Deviator past the
+		// stability hysteresis, so the tier bounds and memo engage, vs
+		// the uncached oracle. Each responder runs twice on the pooled
 		// side — the second scan is served from the memo and must agree
 		// too.
 		pool := NewCachePool(g, 0)
 		defer pool.Close()
 		on := pool.Acquire(d, u)
-		on.sumOn = true
 		on.stable = 4
-		off := NewDeviator(g, d, u)
-		off.sumOn = false
-		if !on.HasCache() || !off.EnsureCache(1<<40) {
+		if !on.HasCache() {
 			t.Fatal("cache refused")
 		}
-		defer off.Release()
+		off := NewDeviator(g, d, u)
 
 		gOff := g.greedyOn(off, d)
 		for pass := 0; pass < 2; pass++ {
 			gOn := g.greedyOn(on, d)
 			if gOn.Cost != gOff.Cost || gOn.Explored != gOff.Explored || !equalInts(gOn.Strategy, gOff.Strategy) {
-				t.Fatalf("greedy pass %d diverges: kernel %+v scalar %+v", pass, gOn, gOff)
+				t.Fatalf("greedy pass %d diverges: kernel %+v oracle %+v", pass, gOn, gOff)
 			}
 		}
 		sOn, sOff := g.swapOn(on, d), g.swapOn(off, d)
 		if sOn.Cost != sOff.Cost || sOn.Explored != sOff.Explored || !equalInts(sOn.Strategy, sOff.Strategy) {
-			t.Fatalf("swap diverges: kernel %+v scalar %+v", sOn, sOff)
+			t.Fatalf("swap diverges: kernel %+v oracle %+v", sOn, sOff)
 		}
 		if StrategySpaceSize(n, g.Budgets[u]) <= 4096 {
 			eOn, eOff := g.exactOn(on, d), g.exactOn(off, d)
 			if eOn.Cost != eOff.Cost || eOn.Explored != eOff.Explored || !equalInts(eOn.Strategy, eOff.Strategy) {
-				t.Fatalf("exact diverges: kernel %+v scalar %+v", eOn, eOff)
+				t.Fatalf("exact diverges: kernel %+v oracle %+v", eOn, eOff)
 			}
 		}
 

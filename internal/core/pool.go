@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -54,9 +53,11 @@ import (
 //     of the rows; a resync (UnderlyingWithout + DiffUnd) only when the
 //     journal cannot cover the gap or in(u) moved.
 //
-// Setting BBNCG_STAMPS=0 restores the diff-always resync path without
-// the derive rung, whose donor proof is a stamp proof (results are
-// identical either way).
+// Every rung is exact: the rows it leaves equal a whole fill bit for
+// bit, so pooled responders return what the uncached Deviator — plain
+// per-candidate BFS, or Dijkstra under weights — returns; tests pin the
+// pool against that reference. On a graph without a journal (Clone
+// never copies one) every entry whose graph moved takes the Resync rung.
 //
 // Admission is static: players are pooled first-come within the byte
 // budget, and everyone else gets a plain per-call Deviator. Dynamics
@@ -83,19 +84,6 @@ import (
 // (diam+1)/32 of the matrix bytes on top — so operators sizing the
 // budget to a machine should leave that headroom.
 var DefaultPoolBudget int64 = 1 << 30
-
-// IncrementalEnabled reports whether the incremental cache-reuse path
-// is on (the default). Setting BBNCG_INCREMENTAL=0 disables it — the
-// engines fall back to refill-per-mover — for A/B benchmarking; results
-// are identical either way.
-func IncrementalEnabled() bool { return os.Getenv("BBNCG_INCREMENTAL") != "0" }
-
-// StampsEnabled reports whether generation-stamped cache resync is on
-// (the default). Setting BBNCG_STAMPS=0 restores the diff-always
-// acquisition path — every stale entry pays the UnderlyingWithout
-// rebuild + DiffUnd — for A/B benchmarking; results are identical
-// either way. Pools snapshot the knob at construction.
-func StampsEnabled() bool { return os.Getenv("BBNCG_STAMPS") != "0" }
 
 // PoolStats counts what a CachePool did over its lifetime. Fills and
 // FullRefills count whole-matrix BFS (or weighted) fills only; a matrix
@@ -142,7 +130,6 @@ type CachePool struct {
 	version int64 // bumped by Invalidate
 	entries map[int]*poolEntry
 	resp    []respEntry // round-level best-response memo, indexed by player
-	stamps  bool        // StampsEnabled() snapshot at construction
 	closed  bool
 	ctr     poolCounters
 
@@ -208,7 +195,6 @@ func NewCachePool(g *Game, budgetBytes int64) *CachePool {
 		budget:  budgetBytes,
 		per:     4 * n * (n + 1),
 		entries: make(map[int]*poolEntry),
-		stamps:  StampsEnabled(),
 	}
 }
 
@@ -228,10 +214,9 @@ func NewWeightedCachePool(g *Game, budgetBytes int64, wts *graph.Weights) *Cache
 // Invalidate marks the graph as changed — an accepted move, or a whole
 // graph swap in the profile-enumeration harnesses: every pooled entry
 // is stale and will be resynced on its next acquisition. Staleness is
-// pool-wide, not per-mover; with stamps on the resync is a generation
-// comparison for untouched players, and without them an O(n+m) diff, so
-// over-invalidation stays cheap either way. Nil-safe and a no-op after
-// Close so disabled-pool call sites stay branchless.
+// pool-wide, not per-mover; the resync of an untouched player is a
+// generation comparison, so over-invalidation stays cheap. Nil-safe and
+// a no-op after Close so disabled-pool call sites stay branchless.
 func (p *CachePool) Invalidate() {
 	if p != nil && !p.closed {
 		p.version++
@@ -310,7 +295,7 @@ func (p *CachePool) resync(e *poolEntry, d *graph.Digraph) {
 		e.dv.syncWeights()
 		p.ctr.repairs.Add(1)
 	}
-	if p.stamps && e.graph != nil {
+	if e.graph != nil {
 		if e.graph == d {
 			if e.gen == d.Gen() {
 				e.dv.noteStable()
@@ -374,7 +359,7 @@ func (p *CachePool) noteRepair(st graph.RepairStats) {
 // content, when no donor qualifies or the derivation declined on
 // damage; the caller then fills the matrix whole. Nil-safe.
 func (p *CachePool) derive(dv *Deviator, d *graph.Digraph) (graph.RepairStats, bool) {
-	if p == nil || p.closed || !p.stamps {
+	if p == nil || p.closed {
 		return graph.RepairStats{}, false
 	}
 	x := p.donor(d, dv.u)
@@ -439,7 +424,7 @@ func (p *CachePool) exact(e *poolEntry, d *graph.Digraph) bool {
 // would return the same answer. The caller must treat a true return as
 // a non-improving BestResponse (the zero value).
 func (p *CachePool) SkipResponse(d *graph.Digraph, u int) bool {
-	if p == nil || p.closed || !p.stamps || p.resp == nil {
+	if p == nil || p.closed || p.resp == nil {
 		return false
 	}
 	r := p.resp[u]
@@ -461,7 +446,7 @@ func (p *CachePool) SkipResponse(d *graph.Digraph, u int) bool {
 // answer is memoised under the graph's current anchor, an improving one
 // clears the memo (u is about to rewire).
 func (p *CachePool) NoteResponse(d *graph.Digraph, u int, improved bool) {
-	if p == nil || p.closed || !p.stamps {
+	if p == nil || p.closed {
 		return
 	}
 	if p.resp == nil {
@@ -494,10 +479,9 @@ func (p *CachePool) ResetResponseMemo() {
 // overlaps the current responder's scan. It returns a wait handle the
 // caller MUST invoke before its next pool call, Release of u's
 // Deviator, or any mutation of d — or nil when there is nothing to
-// prefetch (no pooled entry, entry already current, pool closed, or
-// stamps off).
+// prefetch (no pooled entry, entry already current, or pool closed).
 func (p *CachePool) Prefetch(d *graph.Digraph, u int) func() {
-	if p == nil || p.closed || !p.stamps {
+	if p == nil || p.closed {
 		return nil
 	}
 	e, ok := p.entries[u]

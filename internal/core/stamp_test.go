@@ -66,11 +66,14 @@ func TestPoolLifecycleAfterClose(t *testing.T) {
 	_ = nilPool.Stats()
 }
 
-// Stamp-skip and forced-diff acquisition must produce bit-identical
-// Deviator state — distance rows, inMin fold, colMin floor, SUM memo,
-// stability streak — and identical best responses, across all 8
-// generator families under random rewire / no-op / over-invalidation
-// interleavings.
+// Stamp-skip and journal-delta acquisition must produce Deviator state
+// bit-identical to forced-diff acquisition — distance rows, inMin fold,
+// colMin floor, SUM memo, stability streak — and identical best
+// responses, across all 8 generator families under random rewire /
+// no-op / over-invalidation interleavings. The forced-diff reference is
+// a pool over a journal-less twin of the graph whose generation mirror
+// advances every step: every stale entry resyncs (UnderlyingWithout +
+// DiffUnd), including on steps where nothing moved.
 func TestPropertyStampSkipMatchesForcedDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(9002))
 	for _, inst := range generatorCorpus(rng) {
@@ -78,10 +81,9 @@ func TestPropertyStampSkipMatchesForcedDiff(t *testing.T) {
 			g := GameOf(inst.d, version)
 			n := g.N()
 			d := inst.d.Clone()
+			twin := inst.d.Clone()
 			d.StartJournal(0) // unbounded: every delta is journal-covered
-			t.Setenv("BBNCG_STAMPS", "0")
 			diffPool := NewCachePool(g, 0)
-			t.Setenv("BBNCG_STAMPS", "1")
 			stampPool := NewCachePool(g, 0)
 			for step := 0; step < 10; step++ {
 				switch rng.Intn(4) {
@@ -94,17 +96,18 @@ func TestPropertyStampSkipMatchesForcedDiff(t *testing.T) {
 						mutateRandomPlayer(g, d, rng)
 					}
 				}
+				mirror(twin, d)
 				// Over-invalidation: both pools go stale even on no-op steps.
 				stampPool.Invalidate()
 				diffPool.Invalidate()
 				for k := 0; k < 3; k++ {
 					u := rng.Intn(n)
 					ds := stampPool.Acquire(d, u)
-					dd := diffPool.Acquire(d, u)
+					dd := diffPool.Acquire(twin, u)
 					var brS, brD BestResponse
 					if g.Budgets[u] > 0 {
 						brS = GreedyDeviatorResponder(g, d, ds)
-						brD = GreedyDeviatorResponder(g, d, dd)
+						brD = GreedyDeviatorResponder(g, twin, dd)
 					}
 					ds.Release()
 					dd.Release()
@@ -140,7 +143,7 @@ func TestPropertyStampSkipMatchesForcedDiff(t *testing.T) {
 			if st.StampSkips == 0 {
 				t.Fatalf("%s %v: stamped pool never stamp-skipped (stats %+v)", inst.name, version, st)
 			}
-			if dst := diffPool.Stats(); dst.StampSkips != 0 || dst.DeltaRepairs != 0 {
+			if dst := diffPool.Stats(); dst.Resyncs == 0 || dst.StampSkips != 0 || dst.DeltaRepairs != 0 {
 				t.Fatalf("%s %v: forced-diff pool used stamps (stats %+v)", inst.name, version, dst)
 			}
 			stampPool.Close()

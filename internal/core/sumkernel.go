@@ -1,10 +1,6 @@
 package core
 
-import (
-	"os"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // SUM-side evaluation kernel: the candidate-pruning layer over the
 // blocked min-merge kernels of internal/graph (summerge.go).
@@ -48,9 +44,10 @@ import (
 //     budget that is itself >= the minimum), and Explored counts are
 //     unchanged because pruned candidates still count as explored.
 //
-// The layer is gated by BBNCG_SUMKERNEL (default on) mirroring
-// BBNCG_INCREMENTAL, and only engages for SUM Deviators with an active
-// distance cache; MAX evaluation keeps the PR 4 bitset kernel.
+// The layer engages for every SUM Deviator with an active distance
+// cache; MAX evaluation keeps the PR 4 bitset kernel, and the uncached
+// Deviator evaluates by plain per-candidate BFS — the reference the
+// kernel is tested against.
 
 // On top of the floor bounds sits the exact per-candidate memo: a
 // pooled Deviator remembers each greedy round's candidate costs and the
@@ -65,18 +62,10 @@ import (
 // aborting the (few) stale candidates' rescans early — which is where
 // the headline SUM round speedup comes from.
 
-// SumKernelEnabled reports whether the blocked SUM evaluation kernel and
-// its candidate-pruning bounds are on (the default). Setting
-// BBNCG_SUMKERNEL=0 restores the scalar min-merge paths for A/B
-// benchmarking; results are identical either way. The flag is read once
-// per Deviator, at construction.
-func SumKernelEnabled() bool { return os.Getenv("BBNCG_SUMKERNEL") != "0" }
-
 // sumPrune reports whether SUM evaluation on this Deviator may use the
-// bounded kernel: SUM version, active distance cache, kernel enabled at
-// construction.
+// bounded kernel: SUM version with an active distance cache.
 func (dv *Deviator) sumPrune() bool {
-	return dv.sumOn && dv.game.Version == SUM && dv.rows != nil
+	return dv.game.Version == SUM && dv.rows != nil
 }
 
 // sumPruneScan reports whether a greedy/swap candidate scan should run
@@ -374,9 +363,8 @@ func (dv *Deviator) sumEvalBounded(vec []int32, extra int, suf []int64, budget i
 // or pruned=true certifying that Eval(strategy) strictly exceeds bound.
 // Callers scanning for improvements below a known cost (the equilibrium
 // and improvement-graph scans in internal/enumerate) pass that cost as
-// the bound so losing candidates abort a prefix in. On non-SUM games,
-// without a cache, or with the kernel disabled it falls back to a full
-// Eval.
+// the bound so losing candidates abort a prefix in. On non-SUM games or
+// without a cache it falls back to a full Eval.
 func (dv *Deviator) EvalBounded(strategy []int, bound int64) (cost int64, pruned bool) {
 	if !dv.sumPrune() {
 		return dv.Eval(strategy), false

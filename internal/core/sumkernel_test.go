@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,68 +10,52 @@ import (
 // Equivalence and soundness of the SUM evaluation kernel (sumkernel.go):
 // the blocked min-merge plus the candidate-pruning bounds must leave
 // every responder's output — cost, strategy, tie-breaking, Explored —
-// bit-identical to the scalar paths, across all 8 generator families,
-// and a pruned evaluation must always certify a cost strictly above the
-// budget (the bound never rejects a true best candidate).
+// bit-identical to the reference oracle, across all 8 generator
+// families, and a pruned evaluation must always certify a cost strictly
+// above the budget (the bound never rejects a true best candidate).
 
-// withSumKernel runs fn with BBNCG_SUMKERNEL pinned to on/off (the flag
-// is snapshotted per Deviator, so fn sees it on every Deviator it
-// creates).
-func withSumKernel(on bool, fn func()) {
-	old, had := os.LookupEnv("BBNCG_SUMKERNEL")
-	val := "0"
-	if on {
-		val = "1"
-	}
-	os.Setenv("BBNCG_SUMKERNEL", val)
-	defer func() {
-		if had {
-			os.Setenv("BBNCG_SUMKERNEL", old)
-		} else {
-			os.Unsetenv("BBNCG_SUMKERNEL")
-		}
-	}()
+// oracle runs a responder on the reference Deviator: no distance cache,
+// so every candidate costs one plain BFS (Dijkstra under wts; nil wts is
+// unweighted). Every fast path must reproduce its answer bit for bit.
+func oracle(g *Game, d *graph.Digraph, u int, wts *graph.Weights, respond func(*Game, *Deviator, *graph.Digraph) BestResponse) BestResponse {
+	return respond(g, NewWeightedDeviator(g, d, u, wts), d)
+}
+
+// withoutCache runs fn with DefaultCacheBudget at 0, so the one-shot
+// responders fn calls take the uncached oracle path.
+func withoutCache(fn func()) {
+	defer func(b int64) { DefaultCacheBudget = b }(DefaultCacheBudget)
+	DefaultCacheBudget = 0
 	fn()
 }
 
 func sameBR(t *testing.T, ctx string, a, b BestResponse) {
 	t.Helper()
 	if a.Cost != b.Cost || a.Current != b.Current || a.Explored != b.Explored {
-		t.Fatalf("%s: kernel %+v, scalar %+v", ctx, a, b)
+		t.Fatalf("%s: kernel %+v, oracle %+v", ctx, a, b)
 	}
 	if !equalInts(a.Strategy, b.Strategy) {
-		t.Fatalf("%s: kernel strategy %v, scalar %v", ctx, a.Strategy, b.Strategy)
+		t.Fatalf("%s: kernel strategy %v, oracle %v", ctx, a.Strategy, b.Strategy)
 	}
 }
 
-// TestPropertySumKernelRespondersAcrossGenerators pins every responder
-// pair (greedy, swap, exact) with the kernel on against the scalar path
-// on every generator family. The pruning bound rejecting a true best
-// candidate would surface here as a cost or tie-break divergence.
+// TestPropertySumKernelRespondersAcrossGenerators pins every one-shot
+// responder (greedy, swap, exact) on the cached kernel against the
+// oracle on every generator family. The pruning bound rejecting a true
+// best candidate would surface here as a cost or tie-break divergence.
 func TestPropertySumKernelRespondersAcrossGenerators(t *testing.T) {
 	rng := rand.New(rand.NewSource(7101))
 	for round := 0; round < 3; round++ {
 		for _, inst := range generatorCorpus(rng) {
 			g := GameOf(inst.d, SUM)
 			for u := 0; u < g.N(); u++ {
-				var gOn, gOff, sOn, sOff, eOn, eOff BestResponse
-				var errOn, errOff error
-				withSumKernel(true, func() {
-					gOn = g.GreedyBestResponse(inst.d, u)
-					sOn = g.BestSwap(inst.d, u)
-					eOn, errOn = g.ExactBestResponse(inst.d, u, 0)
-				})
-				withSumKernel(false, func() {
-					gOff = g.GreedyBestResponse(inst.d, u)
-					sOff = g.BestSwap(inst.d, u)
-					eOff, errOff = g.ExactBestResponse(inst.d, u, 0)
-				})
-				if errOn != nil || errOff != nil {
-					t.Fatal(errOn, errOff)
+				e, err := g.ExactBestResponse(inst.d, u, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sameBR(t, inst.name+" greedy", gOn, gOff)
-				sameBR(t, inst.name+" swap", sOn, sOff)
-				sameBR(t, inst.name+" exact", eOn, eOff)
+				sameBR(t, inst.name+" greedy", g.GreedyBestResponse(inst.d, u), oracle(g, inst.d, u, nil, (*Game).greedyOn))
+				sameBR(t, inst.name+" swap", g.BestSwap(inst.d, u), oracle(g, inst.d, u, nil, (*Game).swapOn))
+				sameBR(t, inst.name+" exact", e, oracle(g, inst.d, u, nil, (*Game).exactOn))
 			}
 		}
 	}
@@ -81,9 +64,9 @@ func TestPropertySumKernelRespondersAcrossGenerators(t *testing.T) {
 // TestPropertyPooledScanAcrossGenerators pins the full pruning
 // machinery — tier bounds, budget seeding, and the candidate memo of
 // pool-owned Deviators past the stability hysteresis — against the
-// scalar responders, on every generator family. Each pooled responder
-// runs twice: the second scan is served from the memo and must agree
-// byte for byte as well.
+// oracle, on every generator family. Each pooled responder runs twice:
+// the second scan is served from the memo and must agree byte for byte
+// as well.
 func TestPropertyPooledScanAcrossGenerators(t *testing.T) {
 	rng := rand.New(rand.NewSource(7105))
 	for _, inst := range generatorCorpus(rng) {
@@ -91,20 +74,15 @@ func TestPropertyPooledScanAcrossGenerators(t *testing.T) {
 		pool := NewCachePool(g, 0)
 		for u := 0; u < g.N(); u++ {
 			dv := pool.Acquire(inst.d, u)
-			dv.sumOn = true
 			dv.stable = 4
 			if !dv.HasCache() {
 				t.Fatalf("%s: pool refused u=%d", inst.name, u)
 			}
-			var gOff, sOff BestResponse
-			withSumKernel(false, func() {
-				gOff = g.GreedyBestResponse(inst.d, u)
-				sOff = g.BestSwap(inst.d, u)
-			})
+			gRef := oracle(g, inst.d, u, nil, (*Game).greedyOn)
 			for pass := 0; pass < 2; pass++ {
-				sameBR(t, inst.name+" pooled greedy", g.greedyOn(dv, inst.d), gOff)
+				sameBR(t, inst.name+" pooled greedy", g.greedyOn(dv, inst.d), gRef)
 			}
-			sameBR(t, inst.name+" pooled swap", g.swapOn(dv, inst.d), sOff)
+			sameBR(t, inst.name+" pooled swap", g.swapOn(dv, inst.d), oracle(g, inst.d, u, nil, (*Game).swapOn))
 			dv.Release()
 		}
 		pool.Close()
@@ -113,7 +91,7 @@ func TestPropertyPooledScanAcrossGenerators(t *testing.T) {
 
 // TestPropertyEvalBoundedSound pins the EvalBounded contract on every
 // generator family: pruned implies the true cost strictly exceeds the
-// bound; not pruned implies the exact Eval cost.
+// bound; not pruned implies the oracle's exact cost.
 func TestPropertyEvalBoundedSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7102))
 	for _, inst := range generatorCorpus(rng) {
@@ -121,13 +99,13 @@ func TestPropertyEvalBoundedSound(t *testing.T) {
 		n := g.N()
 		for u := 0; u < n; u++ {
 			dv := NewDeviator(g, inst.d, u)
-			dv.sumOn = true
 			if !dv.EnsureCache(1 << 40) {
 				t.Fatalf("%s: cache refused", inst.name)
 			}
+			ref := NewDeviator(g, inst.d, u)
 			for k := 0; k <= 3 && k <= n-1; k++ {
 				s := randomStrategy(n, u, k, rng)
-				want := dv.Eval(s)
+				want := ref.Eval(s)
 				for _, bound := range []int64{0, want - 1, want, want + 1, 1 << 40} {
 					c, pruned := dv.EvalBounded(s, bound)
 					if pruned {
@@ -150,52 +128,45 @@ func TestPropertyEvalBoundedSound(t *testing.T) {
 // TestSumKernelColMinRepair drives a pooled SUM Deviator through a
 // sequence of rewires and checks the repaired column-min bound stays a
 // sound lower bound of every row (the invariant all pruning rests on),
-// and that responders on the repaired pool still match a fresh scalar
-// Deviator exactly.
+// and that responders on the repaired pool still match the oracle
+// exactly.
 func TestSumKernelColMinRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(7103))
 	g := UniformGame(24, 2, SUM)
 	d := graph.RandomOutDigraph(g.Budgets, rng)
-	withSumKernel(true, func() {
-		pool := NewCachePool(g, 0)
-		defer pool.Close()
-		for step := 0; step < 12; step++ {
-			// Rewire a random player, acquire a random other player.
-			mover := rng.Intn(g.N())
-			d.SetOut(mover, randomStrategy(g.N(), mover, g.Budgets[mover], rng))
-			pool.Invalidate()
-			u := rng.Intn(g.N())
-			dv := pool.Acquire(d, u)
-			br := g.greedyOn(dv, d)
-			dv.Release()
+	pool := NewCachePool(g, 0)
+	defer pool.Close()
+	for step := 0; step < 12; step++ {
+		// Rewire a random player, acquire a random other player.
+		mover := rng.Intn(g.N())
+		d.SetOut(mover, randomStrategy(g.N(), mover, g.Budgets[mover], rng))
+		pool.Invalidate()
+		u := rng.Intn(g.N())
+		dv := pool.Acquire(d, u)
+		br := g.greedyOn(dv, d)
+		dv.Release()
 
-			if dv.colMin != nil {
-				n := g.N()
-				for v := 0; v < n; v++ {
-					if v == u {
-						continue
-					}
-					for w := 0; w < n; w++ {
-						if dv.colMin[w] > dv.rows[v*n+w] {
-							t.Fatalf("step %d: colMin[%d]=%d above row %d entry %d",
-								step, w, dv.colMin[w], v, dv.rows[v*n+w])
-						}
+		if dv.colMin != nil {
+			n := g.N()
+			for v := 0; v < n; v++ {
+				if v == u {
+					continue
+				}
+				for w := 0; w < n; w++ {
+					if dv.colMin[w] > dv.rows[v*n+w] {
+						t.Fatalf("step %d: colMin[%d]=%d above row %d entry %d",
+							step, w, dv.colMin[w], v, dv.rows[v*n+w])
 					}
 				}
 			}
-
-			var want BestResponse
-			withSumKernel(false, func() {
-				want = g.GreedyBestResponse(d, u)
-			})
-			sameBR(t, "pooled greedy after repair", br, want)
 		}
-	})
+		sameBR(t, "pooled greedy after repair", br, oracle(g, d, u, nil, (*Game).greedyOn))
+	}
 }
 
 // TestWeightedKernelEquivalence pins the weighted prefix-stack kernel
-// against the scalar weighted evaluation, including after folds change
-// the weight vector.
+// against the uncached weighted evaluation (one graph rewire plus BFS
+// per candidate), including after folds change the weight vector.
 func TestWeightedKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7104))
 	for trial := 0; trial < 6; trial++ {
@@ -204,7 +175,7 @@ func TestWeightedKernelEquivalence(t *testing.T) {
 			budgets[i] = 1 + rng.Intn(2)
 		}
 		d := graph.RandomOutDigraph(budgets, rng)
-		wg := NewWeighted(d)
+		wg := NewVertexWeighted(d)
 		// Shift some weight around like the folding proofs do.
 		for i := 0; i < 3; i++ {
 			from, to := rng.Intn(10), rng.Intn(10)
@@ -217,10 +188,10 @@ func TestWeightedKernelEquivalence(t *testing.T) {
 			if !wg.Alive(u) {
 				continue
 			}
-			var on, off BestResponse
-			var errOn, errOff error
-			withSumKernel(true, func() { on, errOn = wg.WeightedBestResponse(u, 0) })
-			withSumKernel(false, func() { off, errOff = wg.WeightedBestResponse(u, 0) })
+			var off BestResponse
+			var errOff error
+			on, errOn := wg.WeightedBestResponse(u, 0)
+			withoutCache(func() { off, errOff = wg.WeightedBestResponse(u, 0) })
 			if errOn != nil || errOff != nil {
 				t.Fatal(errOn, errOff)
 			}

@@ -141,8 +141,6 @@ func (dv *Deviator) evalWeightedDijkstra(strategy []int) int64 {
 
 // WeightedGreedyResponder is GreedyResponder under arc weights wts: the
 // marginal-cost greedy evaluated on weighted shortest-path distances.
-// (Distinct from the Section-6 WeightedGraph machinery, which weights
-// vertices, not arcs.)
 func WeightedGreedyResponder(wts *graph.Weights) Responder {
 	return func(g *Game, d *graph.Digraph, u int) BestResponse {
 		dv := NewWeightedDeviator(g, d, u, wts)

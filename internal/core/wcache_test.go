@@ -113,45 +113,30 @@ func TestWeightedUnitBridge(t *testing.T) {
 	}
 }
 
-// The weighted responders must return identical responses across the
-// whole knob matrix (BBNCG_WSTEP × BBNCG_SUMKERNEL): the knobs select
-// implementations, never results.
+// The weighted responders on the cached tier (Δ-stepping fill, SUM
+// kernel) must return exactly what the oracle — per-candidate Dijkstra
+// on an uncached weighted Deviator — returns.
 func TestWeightedResponderKnobMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	families := weightedFamilies(rng)
-	type cfg struct{ wstep, kernel string }
-	cfgs := []cfg{{"1", "1"}, {"0", "1"}, {"1", "0"}, {"0", "0"}}
-	for name, d := range families {
+	for name, d := range weightedFamilies(rng) {
 		for _, version := range []Version{SUM, MAX} {
 			g := GameOf(d, version)
 			wts := graph.NewWeights(g.N(), 17, 9)
 			u := rng.Intn(g.N())
-			var ref BestResponse
-			for i, c := range cfgs {
-				t.Setenv("BBNCG_WSTEP", c.wstep)
-				t.Setenv("BBNCG_SUMKERNEL", c.kernel)
-				br := WeightedGreedyResponder(wts)(g, d, u)
-				sw := WeightedSwapResponder(wts)(g, d, u)
-				if i == 0 {
-					ref = br
-					continue
-				}
-				if br.Cost != ref.Cost || br.Current != ref.Current || fmt.Sprint(br.Strategy) != fmt.Sprint(ref.Strategy) {
-					t.Fatalf("%s/%v u=%d cfg=%+v: greedy %+v, reference %+v", name, version, u, c, br, ref)
-				}
-				if sw.Cost > sw.Current {
-					t.Fatalf("%s/%v u=%d cfg=%+v: swap worsened: %+v", name, version, u, c, sw)
-				}
-			}
+			ctx := fmt.Sprintf("%s/%v u=%d", name, version, u)
+			sameBR(t, ctx+" greedy", WeightedGreedyResponder(wts)(g, d, u), oracle(g, d, u, wts, (*Game).greedyOn))
+			sameBR(t, ctx+" swap", WeightedSwapResponder(wts)(g, d, u), oracle(g, d, u, wts, (*Game).swapOn))
 		}
 	}
 }
 
 // weightedStream runs a mixed mutation stream (rewires + weight sets)
 // against a weighted pool, comparing every pooled greedy response with
-// a fresh-fill weighted responder — the end-to-end pin of syncWeights,
-// the weighted repair and the pool ladder.
-func weightedStream(t *testing.T, version Version) {
+// the oracle — the end-to-end pin of syncWeights, the weighted repair
+// and the pool ladder. Without a journal every entry whose graph moved
+// resyncs (UnderlyingWithout + DiffUnd) instead of taking the journal's
+// delta.
+func weightedStream(t *testing.T, version Version, journal bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(64))
 	n := 16
@@ -164,8 +149,9 @@ func weightedStream(t *testing.T, version Version) {
 	wts := graph.NewWeights(n, 5, 11)
 	pool := NewWeightedCachePool(g, 0, wts)
 	defer pool.Close()
-	d.StartJournal(4*n + 64)
-	plain := WeightedGreedyResponder(wts)
+	if journal {
+		d.StartJournal(4*n + 64)
+	}
 	for round := 0; round < 12; round++ {
 		// Mutate: one rewire and/or a couple of weight changes.
 		if rng.Intn(3) > 0 {
@@ -185,33 +171,30 @@ func weightedStream(t *testing.T, version Version) {
 			dv := pool.Acquire(d, u)
 			got := GreedyDeviatorResponder(g, d, dv)
 			dv.Release()
-			want := plain(g, d, u)
-			if got.Cost != want.Cost || got.Current != want.Current {
-				t.Fatalf("round %d u=%d: pooled %+v, fresh %+v (stats %+v)", round, u, got, want, pool.Stats())
-			}
+			sameBR(t, fmt.Sprintf("round %d u=%d (stats %+v)", round, u, pool.Stats()), got,
+				oracle(g, d, u, wts, (*Game).greedyOn))
 		}
 	}
 	// Entries are built once per player (filled, or derived from a
-	// donor — a stamp-proven rung) and repaired from then on.
+	// donor) and repaired from then on.
 	st := pool.Stats()
 	if st.Acquires-st.Hits-st.Unpooled != int64(n) {
 		t.Fatalf("pool rebuilt entries instead of repairing: %+v", st)
 	}
-	if (st.Derives > 0) != StampsEnabled() {
-		t.Fatalf("derive rung engaged %d times with stamps %v: %+v", st.Derives, StampsEnabled(), st)
+	if journal && (st.Derives == 0 || st.DeltaRepairs == 0) {
+		t.Fatalf("journaled stream skipped the derive or delta-repair rung: %+v", st)
+	}
+	if !journal && (st.Resyncs == 0 || st.DeltaRepairs != 0) {
+		t.Fatalf("journal-less stream did not resync: %+v", st)
 	}
 }
 
-func TestWeightedPoolRepairVsRefillSUM(t *testing.T) { weightedStream(t, SUM) }
-func TestWeightedPoolRepairVsRefillMAX(t *testing.T) { weightedStream(t, MAX) }
+func TestWeightedPoolRepairVsRefillSUM(t *testing.T) { weightedStream(t, SUM, true) }
+func TestWeightedPoolRepairVsRefillMAX(t *testing.T) { weightedStream(t, MAX, true) }
 
-// The same stream with stamps and the stepping kernel disabled must
-// still agree (the BBNCG_STAMPS leg of the knob matrix).
-func TestWeightedPoolKnobsOff(t *testing.T) {
-	t.Setenv("BBNCG_STAMPS", "0")
-	t.Setenv("BBNCG_WSTEP", "0")
-	weightedStream(t, SUM)
-}
+// The same stream without a journal climbs the Resync rung and must
+// still agree.
+func TestWeightedPoolKnobsOff(t *testing.T) { weightedStream(t, SUM, false) }
 
 // Settled weighted rounds must be free: untouched graph and weights
 // cost a generation comparison per player — no repairs, no resyncs.
@@ -341,7 +324,7 @@ func TestWeightedCacheRefusesOverflow(t *testing.T) {
 func TestWeightedBestResponsePooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	d := graph.RandomOutDigraph([]int{1, 2, 1, 1, 2, 1, 1, 2, 1, 1}, rng)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	wg.W[3] = 0 // folded away
 	wg.W[7] = 4 // weight transferred by a fold
 	pool := NewCachePool(GameOf(d, SUM), 0)

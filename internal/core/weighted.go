@@ -14,25 +14,25 @@ import (
 // implements the weighted cost, the fold, and the weak-equilibrium check
 // so the analysis package can audit the proof's invariants empirically.
 
-// WeightedGraph couples a realization with positive integer vertex
+// VertexWeighted couples a realization with positive integer vertex
 // weights. Weight 0 marks folded-away vertices (they are excluded from all
 // cost sums and act as if deleted).
-type WeightedGraph struct {
+type VertexWeighted struct {
 	D *graph.Digraph
 	W []int64
 }
 
-// NewWeighted wraps d with unit weights.
-func NewWeighted(d *graph.Digraph) *WeightedGraph {
+// NewVertexWeighted wraps d with unit weights.
+func NewVertexWeighted(d *graph.Digraph) *VertexWeighted {
 	w := make([]int64, d.N())
 	for i := range w {
 		w[i] = 1
 	}
-	return &WeightedGraph{D: d, W: w}
+	return &VertexWeighted{D: d, W: w}
 }
 
 // TotalWeight returns w(G), the sum of all vertex weights.
-func (wg *WeightedGraph) TotalWeight() int64 {
+func (wg *VertexWeighted) TotalWeight() int64 {
 	var t int64
 	for _, w := range wg.W {
 		t += w
@@ -41,10 +41,10 @@ func (wg *WeightedGraph) TotalWeight() int64 {
 }
 
 // Alive reports whether v has not been folded away.
-func (wg *WeightedGraph) Alive(v int) bool { return wg.W[v] > 0 }
+func (wg *VertexWeighted) Alive(v int) bool { return wg.W[v] > 0 }
 
 // AliveCount returns the number of unfolded vertices.
-func (wg *WeightedGraph) AliveCount() int {
+func (wg *VertexWeighted) AliveCount() int {
 	c := 0
 	for _, w := range wg.W {
 		if w > 0 {
@@ -56,7 +56,7 @@ func (wg *WeightedGraph) AliveCount() int {
 
 // Cost returns the weighted SUM cost of u: sum over alive v of
 // w(v)*dist(u,v), treating unreachable alive vertices as distance n^2.
-func (wg *WeightedGraph) Cost(u int) int64 {
+func (wg *VertexWeighted) Cost(u int) int64 {
 	n := wg.D.N()
 	a := wg.D.Underlying()
 	s := graph.NewScratch(n)
@@ -80,16 +80,16 @@ func (wg *WeightedGraph) Cost(u int) int64 {
 // poor leaf owns no arc (outdegree 0), a rich leaf owns exactly one.
 
 // PoorLeaves returns all alive degree-1 vertices with outdegree 0.
-func (wg *WeightedGraph) PoorLeaves() []int {
+func (wg *VertexWeighted) PoorLeaves() []int {
 	return wg.leaves(true)
 }
 
 // RichLeaves returns all alive degree-1 vertices with outdegree 1.
-func (wg *WeightedGraph) RichLeaves() []int {
+func (wg *VertexWeighted) RichLeaves() []int {
 	return wg.leaves(false)
 }
 
-func (wg *WeightedGraph) leaves(poor bool) []int {
+func (wg *VertexWeighted) leaves(poor bool) []int {
 	a := wg.D.Underlying()
 	var ls []int
 	for v := 0; v < wg.D.N(); v++ {
@@ -106,7 +106,7 @@ func (wg *WeightedGraph) leaves(poor bool) []int {
 // FoldPoorLeaf removes poor leaf l (owned by some arc u->l) and adds its
 // weight to u, per the G_0 construction before Lemma 6.2. It errors if l
 // is not a poor leaf.
-func (wg *WeightedGraph) FoldPoorLeaf(l int) error {
+func (wg *VertexWeighted) FoldPoorLeaf(l int) error {
 	if !wg.Alive(l) {
 		return fmt.Errorf("core: vertex %d already folded", l)
 	}
@@ -128,7 +128,7 @@ func (wg *WeightedGraph) FoldPoorLeaf(l int) error {
 // returning the number of folds. Folding can expose new poor leaves
 // (a path of non-owners collapses inward), so the loop iterates to a
 // fixed point — this is the "sequence of subtree folds" of Corollary 6.3.
-func (wg *WeightedGraph) FoldAllPoorLeaves() int {
+func (wg *VertexWeighted) FoldAllPoorLeaves() int {
 	folds := 0
 	for {
 		ls := wg.PoorLeaves()
@@ -150,7 +150,7 @@ func (wg *WeightedGraph) FoldAllPoorLeaves() int {
 // WeakDeviation searches for an improving single-arc swap by any alive
 // vertex in the weighted graph (the weak-equilibrium condition of Section
 // 6). It returns nil if the graph is a weighted weak equilibrium.
-func (wg *WeightedGraph) WeakDeviation() *Deviation {
+func (wg *VertexWeighted) WeakDeviation() *Deviation {
 	n := wg.D.N()
 	for u := 0; u < n; u++ {
 		if !wg.Alive(u) || wg.D.OutDegree(u) == 0 {

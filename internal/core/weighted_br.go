@@ -22,9 +22,10 @@ import (
 // strategy costs one O(n) weighted min-merge over the cached rows —
 // folded (weight-0) vertices contribute nothing — instead of a graph
 // rebuild plus BFS per candidate. When the cache exceeds
-// DefaultCacheBudget the historical rebuild path runs instead; both
-// paths are bit-identical (weighted_br_test.go pins the equivalence).
-func (wg *WeightedGraph) WeightedBestResponse(u int, maxCandidates int64) (BestResponse, error) {
+// DefaultCacheBudget that uncached rebuild path runs instead; it is
+// also the reference the cached path is tested against (bit-identical
+// results, TestWeightedKernelEquivalence).
+func (wg *VertexWeighted) WeightedBestResponse(u int, maxCandidates int64) (BestResponse, error) {
 	return wg.WeightedBestResponsePooled(u, maxCandidates, nil)
 }
 
@@ -36,7 +37,7 @@ func (wg *WeightedGraph) WeightedBestResponse(u int, maxCandidates int64) (BestR
 // unweighted (arc-wise) SUM pool over wg.D's vertex count; nil pool, an
 // over-budget player or an arc-weighted pool fall back to the one-shot
 // Deviator. All paths are bit-identical.
-func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, pool *CachePool) (BestResponse, error) {
+func (wg *VertexWeighted) WeightedBestResponsePooled(u int, maxCandidates int64, pool *CachePool) (BestResponse, error) {
 	if !wg.Alive(u) {
 		return BestResponse{}, fmt.Errorf("core: vertex %d is folded away", u)
 	}
@@ -63,26 +64,25 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 	defer dv.Release()
 	cached := dv.EnsureCache(DefaultCacheBudget)
 
-	res := BestResponse{Strategy: cur}
-	if cached {
-		res.Current = dv.weightedEval(cur, wg.W)
-	} else {
-		res.Current = wg.Cost(u)
-	}
-	res.Cost = res.Current
-
-	// With the kernel on, the enumeration keeps a stack of partial
-	// min-vectors over the combination prefix (exactly like the exact
-	// responder), so a leaf costs one fused O(n) weighted pass instead of
-	// re-merging all b rows; BBNCG_SUMKERNEL=0 restores the historical
-	// per-candidate weightedEval. Both paths are bit-identical.
+	// On the cache every cost is one fused O(n) weighted pass over a
+	// min-vector of anchor rows. The enumeration keeps a stack of
+	// partial min-vectors over the combination prefix (exactly like the
+	// exact responder), so a leaf merges only its last row.
 	n := wg.D.N()
-	kernel := cached && dv.sumOn
+	cinf := int64(n) * int64(n)
+	res := BestResponse{Strategy: cur}
 	var vecs [][]int32
 	var w0 []int64
-	if kernel {
+	if cached {
 		w0 = append([]int64(nil), wg.W...)
 		w0[u] = 0 // the source never pays for itself; vec[u] is InfDist
+		vec := getInt32(n)
+		copy(vec, dv.inMin)
+		for _, v := range cur {
+			graph.MinInto(vec, dv.rows[v*n:(v+1)*n])
+		}
+		res.Current = graph.WeightedSumMerge(vec, nil, w0, cinf)
+		putInt32(vec)
 		vecs = make([][]int32, b)
 		if b > 0 {
 			vecs[0] = dv.inMin
@@ -91,8 +91,10 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 				defer putInt32(vecs[k])
 			}
 		}
+	} else {
+		res.Current = wg.Cost(u)
 	}
-	cinf := int64(n) * int64(n)
+	res.Cost = res.Current
 
 	comb := make([]int, b)
 	trial := make([]int, b)
@@ -104,18 +106,14 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 			}
 			var c int64
 			switch {
-			case kernel:
-				if b == 0 {
-					c = graph.WeightedSumMerge(dv.inMin, nil, w0, cinf)
-				} else {
-					last := trial[b-1]
-					c = graph.WeightedSumMerge(vecs[b-1], dv.rows[last*n:(last+1)*n], w0, cinf)
-				}
-			case cached:
-				c = dv.weightedEval(trial, wg.W)
-			default:
+			case !cached:
 				wg.D.SetOut(u, trial)
 				c = wg.Cost(u)
+			case b == 0:
+				c = graph.WeightedSumMerge(dv.inMin, nil, w0, cinf)
+			default:
+				last := trial[b-1]
+				c = graph.WeightedSumMerge(vecs[b-1], dv.rows[last*n:(last+1)*n], w0, cinf)
 			}
 			res.Explored++
 			if c < res.Cost {
@@ -126,7 +124,7 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 		}
 		for i := start; i <= len(targets)-(b-at); i++ {
 			comb[at] = i
-			if kernel && at < b-1 {
+			if cached && at < b-1 {
 				copy(vecs[at+1], vecs[at])
 				v := targets[i]
 				graph.MinInto(vecs[at+1], dv.rows[v*n:(v+1)*n])
@@ -141,40 +139,10 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 	return res, nil
 }
 
-// weightedEval is the weighted-SUM analogue of evalCached: the cost u
-// would incur playing strategy s, summed over positive-weight vertices
-// with unreachable ones costed at C_inf = n^2 (matching
-// WeightedGraph.Cost exactly). Shortest paths from u never revisit u,
-// so every distance is 1 + the min over the anchors s ∪ in(u) of the
-// cached G-u rows.
-func (dv *Deviator) weightedEval(strategy []int, w []int64) int64 {
-	n := dv.game.N()
-	cinf := int64(n) * int64(n)
-	rows, inMin := dv.rows, dv.inMin
-	var c int64
-	for x := 0; x < n; x++ {
-		if x == dv.u || w[x] == 0 {
-			continue
-		}
-		m := inMin[x]
-		for _, v := range strategy {
-			if r := rows[v*n+x]; r < m {
-				m = r
-			}
-		}
-		if m < graph.InfDist {
-			c += w[x] * int64(m+1)
-		} else {
-			c += w[x] * cinf
-		}
-	}
-	return c
-}
-
 // WeightedNashDeviation searches all alive vertices for an improving
 // full-strategy deviation, returning nil if the weighted graph is a Nash
 // equilibrium of the weighted SUM game restricted to alive vertices.
-func (wg *WeightedGraph) WeightedNashDeviation(maxCandidates int64) (*Deviation, error) {
+func (wg *VertexWeighted) WeightedNashDeviation(maxCandidates int64) (*Deviation, error) {
 	return wg.WeightedNashDeviationPooled(maxCandidates, nil)
 }
 
@@ -182,7 +150,7 @@ func (wg *WeightedGraph) WeightedNashDeviation(maxCandidates int64) (*Deviation,
 // CachePool (see WeightedBestResponsePooled): the per-player sweep is
 // exactly where the throwaway-Deviator cost compounded, n cache fills
 // per audit.
-func (wg *WeightedGraph) WeightedNashDeviationPooled(maxCandidates int64, pool *CachePool) (*Deviation, error) {
+func (wg *VertexWeighted) WeightedNashDeviationPooled(maxCandidates int64, pool *CachePool) (*Deviation, error) {
 	for u := 0; u < wg.D.N(); u++ {
 		if !wg.Alive(u) || wg.D.OutDegree(u) == 0 {
 			continue
@@ -202,7 +170,7 @@ func (wg *WeightedGraph) WeightedNashDeviationPooled(maxCandidates int64, pool *
 // weighted best response of u agrees in cost with the unweighted SUM
 // ExactBestResponse — the consistency bridge between the Section 6 model
 // and the main game. It returns both costs.
-func (wg *WeightedGraph) UnweightedEquivalent(u int, d *graph.Digraph) (weighted, plain int64, err error) {
+func (wg *VertexWeighted) UnweightedEquivalent(u int, d *graph.Digraph) (weighted, plain int64, err error) {
 	br, err := wg.WeightedBestResponse(u, 0)
 	if err != nil {
 		return 0, 0, err

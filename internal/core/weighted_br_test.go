@@ -22,7 +22,7 @@ func TestWeightedBestResponseMatchesUnweighted(t *testing.T) {
 			if budgets[u] == 0 {
 				continue
 			}
-			wg := NewWeighted(d.Clone())
+			wg := NewVertexWeighted(d.Clone())
 			wCost, pCost, err := wg.UnweightedEquivalent(u, d)
 			if err != nil {
 				t.Fatal(err)
@@ -36,7 +36,7 @@ func TestWeightedBestResponseMatchesUnweighted(t *testing.T) {
 
 func TestWeightedBestResponseRestoresGraph(t *testing.T) {
 	d := graph.PathGraph(5)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	before := d.Clone()
 	if _, err := wg.WeightedBestResponse(0, 0); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestWeightedBestResponseSkipsFoldedTargets(t *testing.T) {
 	d.AddArc(0, 1)
 	d.AddArc(0, 2)
 	d.AddArc(0, 3)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	if err := wg.FoldPoorLeaf(3); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWeightedBestResponseSkipsFoldedTargets(t *testing.T) {
 
 func TestWeightedBestResponseFoldedVertexRejected(t *testing.T) {
 	d := graph.StarGraph(4)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	if err := wg.FoldPoorLeaf(2); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestWeightedBestResponseFoldedVertexRejected(t *testing.T) {
 
 func TestWeightedBestResponseCap(t *testing.T) {
 	d := graph.CompleteDigraph(12)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	if _, err := wg.WeightedBestResponse(3, 2); err == nil {
 		t.Fatal("cap not enforced")
 	}
@@ -96,7 +96,7 @@ func TestWeightedNashAfterFoldingBinaryTreeShape(t *testing.T) {
 		d.AddArc(i-1, 2*i-1)
 		d.AddArc(i-1, 2*i)
 	}
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	dev, err := wg.WeightedNashDeviation(0)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestWeightedBestResponseCachedMatchesRebuild(t *testing.T) {
 			budgets[i] = rng.Intn(3)
 		}
 		d := graph.RandomOutDigraph(budgets, rng)
-		wg := NewWeighted(d)
+		wg := NewVertexWeighted(d)
 		if trial%2 == 0 {
 			wg.FoldAllPoorLeaves()
 		}
@@ -189,7 +189,7 @@ func TestWeightedNashDeviationCachedMatchesRebuild(t *testing.T) {
 			budgets[i] = rng.Intn(2)
 		}
 		d := graph.RandomOutDigraph(budgets, rng)
-		wg := NewWeighted(d)
+		wg := NewVertexWeighted(d)
 		wg.FoldAllPoorLeaves()
 		cachedDev, err := wg.WeightedNashDeviation(0)
 		if err != nil {

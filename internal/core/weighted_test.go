@@ -9,7 +9,7 @@ import (
 func TestWeightedCostUnitWeightsMatchesSUM(t *testing.T) {
 	d := graph.PathGraph(5)
 	g := GameOf(d, SUM)
-	wg := NewWeighted(d.Clone())
+	wg := NewVertexWeighted(d.Clone())
 	for u := 0; u < 5; u++ {
 		if got, want := wg.Cost(u), g.Cost(d, u); got != want {
 			t.Fatalf("unit-weight cost(%d) = %d, SUM cost = %d", u, got, want)
@@ -22,7 +22,7 @@ func TestPoorAndRichLeaves(t *testing.T) {
 	d := graph.NewDigraph(3)
 	d.AddArc(0, 1)
 	d.AddArc(2, 0)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	poor := wg.PoorLeaves()
 	rich := wg.RichLeaves()
 	if len(poor) != 1 || poor[0] != 1 {
@@ -37,7 +37,7 @@ func TestFoldPoorLeaf(t *testing.T) {
 	d := graph.NewDigraph(3)
 	d.AddArc(0, 1)
 	d.AddArc(0, 2)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	if err := wg.FoldPoorLeaf(1); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFoldPoorLeafErrors(t *testing.T) {
 	d := graph.NewDigraph(3)
 	d.AddArc(0, 1)
 	d.AddArc(1, 2)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	if err := wg.FoldPoorLeaf(1); err == nil {
 		t.Fatal("vertex owning arcs folded as poor leaf")
 	}
@@ -75,7 +75,7 @@ func TestFoldAllPoorLeavesStar(t *testing.T) {
 	// Star centre owning all arcs: every leaf is poor; all fold into the
 	// centre, which ends with weight n.
 	d := graph.StarGraph(6)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	folds := wg.FoldAllPoorLeaves()
 	if folds != 5 {
 		t.Fatalf("folds = %d, want 5", folds)
@@ -90,7 +90,7 @@ func TestFoldAllPoorLeavesCascade(t *testing.T) {
 	// leaf but 2 owns an arc... after removing 2->3, vertex 2 owns
 	// nothing and has degree 1 (edge 1-2): poor. Cascades to the root.
 	d := graph.PathGraph(4)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	folds := wg.FoldAllPoorLeaves()
 	if folds != 3 {
 		t.Fatalf("folds = %d, want 3", folds)
@@ -102,7 +102,7 @@ func TestFoldAllPoorLeavesCascade(t *testing.T) {
 
 func TestFoldPreservesTotalWeight(t *testing.T) {
 	d := graph.StarGraph(8)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	before := wg.TotalWeight()
 	wg.FoldAllPoorLeaves()
 	if wg.TotalWeight() != before {
@@ -115,7 +115,7 @@ func TestWeightedCostSkipsFolded(t *testing.T) {
 	d.AddArc(0, 1)
 	d.AddArc(0, 2)
 	d.AddArc(0, 3)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	if err := wg.FoldPoorLeaf(3); err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +127,14 @@ func TestWeightedCostSkipsFolded(t *testing.T) {
 }
 
 func TestWeakDeviationNilOnStar(t *testing.T) {
-	wg := NewWeighted(graph.StarGraph(5))
+	wg := NewVertexWeighted(graph.StarGraph(5))
 	if dev := wg.WeakDeviation(); dev != nil {
 		t.Fatalf("star has improving weighted swap: %v", dev)
 	}
 }
 
 func TestWeakDeviationFindsPathImprovement(t *testing.T) {
-	wg := NewWeighted(graph.PathGraph(6))
+	wg := NewVertexWeighted(graph.PathGraph(6))
 	dev := wg.WeakDeviation()
 	if dev == nil {
 		t.Fatal("long path should admit an improving swap")
@@ -147,7 +147,7 @@ func TestWeakDeviationFindsPathImprovement(t *testing.T) {
 func TestWeakDeviationRespectsFoldedVertices(t *testing.T) {
 	// After folding, swaps may not target dead vertices.
 	d := graph.PathGraph(5)
-	wg := NewWeighted(d)
+	wg := NewVertexWeighted(d)
 	wg.FoldAllPoorLeaves()
 	if dev := wg.WeakDeviation(); dev != nil {
 		for _, v := range dev.NewStrategy {

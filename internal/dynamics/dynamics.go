@@ -75,17 +75,17 @@ type Options struct {
 	// concurrent invocation against a fixed graph — all responders in
 	// package core are.
 	Parallel bool
-	// Cached is the pooled (Deviator) form of Responder. When set — and
-	// the incremental path is enabled (core.IncrementalEnabled; disable
-	// with BBNCG_INCREMENTAL=0 for A/B benching) — the engine keeps one
-	// cached Deviator per player in a core.CachePool for the whole run:
-	// after each accepted move the pool is invalidated and each player's
-	// dist_{G-u} matrix is lazily *repaired* (delta BFS over the edges
-	// the movers actually changed) on its next use instead of refilled
-	// from scratch, which removes the dominant O(n²)-fill-per-mover cost
-	// of cached dynamics. Cached must compute exactly the same response
-	// as Responder; the built-in core pairs do, pinned by equivalence
-	// tests. Results are identical with and without it.
+	// Cached is the pooled (Deviator) form of Responder. When set the
+	// engine keeps one cached Deviator per player in a core.CachePool for
+	// the whole run: after each accepted move the pool is invalidated and
+	// each player's dist_{G-u} matrix is lazily *repaired* (delta BFS
+	// over the edges the movers actually changed) on its next use instead
+	// of refilled from scratch, which removes the dominant
+	// O(n²)-fill-per-mover cost of cached dynamics. Cached must compute
+	// exactly the same response as Responder; the built-in core pairs do,
+	// pinned by tests against the uncached reference (Cached nil with
+	// core.DefaultCacheBudget 0: per-candidate BFS or Dijkstra). Results
+	// are identical with and without it.
 	Cached core.DeviatorResponder
 	// PoolBudget caps the cache pool size in bytes; 0 means
 	// core.DefaultPoolBudget.
@@ -107,12 +107,11 @@ type Options struct {
 	Weights *graph.Weights
 }
 
-// newPool resolves the run's cache pool: nil when the incremental path
-// is off (no Cached responder, or disabled by environment), the
-// caller's external pool when supplied, else a fresh run-owned pool.
-// owned reports whether the run must Close it.
+// newPool resolves the run's cache pool: nil without a Cached
+// responder, the caller's external pool when supplied, else a fresh
+// run-owned pool. owned reports whether the run must Close it.
 func (opts Options) newPool(g *core.Game) (pool *core.CachePool, owned bool) {
-	if opts.Cached == nil || !core.IncrementalEnabled() {
+	if opts.Cached == nil {
 		return nil, false
 	}
 	if opts.Pool != nil {
@@ -280,12 +279,12 @@ func Run(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
 }
 
 // startJournal attaches a bounded mutation journal to the run graph so
-// a live stamped pool can repair stale entries from the exact edge
-// deltas of the accepted moves instead of a full adjacency diff. The
-// bound covers several rounds of typical move churn; overflow just
-// falls back to the diff path.
+// a live pool can repair stale entries from the exact edge deltas of
+// the accepted moves instead of a full adjacency diff. The bound covers
+// several rounds of typical move churn; overflow just falls back to the
+// diff path.
 func startJournal(d *graph.Digraph, pool *core.CachePool) {
-	if pool != nil && core.StampsEnabled() {
+	if pool != nil {
 		d.StartJournal(4*d.N() + 64)
 	}
 }

@@ -7,75 +7,65 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
-// Incremental (pooled, repair-per-move) dynamics must reproduce the
-// refill-per-mover path exactly: same moves, same rounds, same final
-// profile, for both engines, both versions, and every built-in
-// responder pair.
-func TestIncrementalDynamicsMatchesRefill(t *testing.T) {
-	pairs := []struct {
-		name   string
-		plain  core.Responder
-		cached core.DeviatorResponder
-	}{
-		{"exact", core.ExactResponder(0), core.ExactDeviatorResponder(0)},
-		{"greedy", core.GreedyResponder, core.GreedyDeviatorResponder},
-		{"swap", core.SwapResponder, core.SwapDeviatorResponder},
+// runOracle runs engine on the reference oracle: no Cached responder
+// and core.DefaultCacheBudget 0, so every candidate costs one plain BFS
+// (Dijkstra under weights) on a sequential engine. Pooled runs must
+// reproduce it exactly.
+func runOracle(t testing.TB, engine func(*core.Game, *graph.Digraph, Options) (Result, error), g *core.Game, start *graph.Digraph, opts Options) Result {
+	t.Helper()
+	defer func(b int64) { core.DefaultCacheBudget = b }(core.DefaultCacheBudget)
+	core.DefaultCacheBudget = 0
+	opts.Cached, opts.Pool, opts.Parallel = nil, nil, false
+	res, err := engine(g, start, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
+}
+
+// responderPairs are the built-in plain/pooled responder pairs the
+// pooled-vs-oracle matrices run.
+var responderPairs = []struct {
+	name   string
+	plain  core.Responder
+	cached core.DeviatorResponder
+}{
+	{"exact", core.ExactResponder(0), core.ExactDeviatorResponder(0)},
+	{"greedy", core.GreedyResponder, core.GreedyDeviatorResponder},
+	{"swap", core.SwapResponder, core.SwapDeviatorResponder},
+}
+
+// Incremental (pooled) dynamics — stamp skips, journal delta repair,
+// derivation, resync, round memo, prefetch — must reproduce the oracle
+// exactly: same moves, same rounds, same final profile, for both
+// engines, both versions and every built-in responder pair.
+func TestIncrementalDynamicsMatchesRefill(t *testing.T) {
 	for _, ver := range []core.Version{core.SUM, core.MAX} {
-		for _, p := range pairs {
+		for _, p := range responderPairs {
 			for seed := int64(0); seed < 3; seed++ {
 				t.Run(fmt.Sprintf("%v/%s/seed=%d", ver, p.name, seed), func(t *testing.T) {
 					g := core.UniformGame(10, 1, ver)
 					start := RandomProfile(g, rand.New(rand.NewSource(seed)))
-					base := Options{Responder: p.plain, DetectLoops: true, MaxRounds: 200}
-					inc := base
-					inc.Cached = p.cached
-					want, err := Run(g, start, base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Run(g, start, inc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, "Run", got, want)
-
-					wantSim, err := RunSimultaneous(g, start, base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotSim, err := RunSimultaneous(g, start, inc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, "RunSimultaneous", gotSim, wantSim)
+					opts := Options{Responder: p.plain, Cached: p.cached, DetectLoops: true, MaxRounds: 200}
+					assertSameResult(t, "Run", mustRun(t, Run, g, start, opts), runOracle(t, Run, g, start, opts))
+					assertSameResult(t, "RunSimultaneous", mustRun(t, RunSimultaneous, g, start, opts), runOracle(t, RunSimultaneous, g, start, opts))
 				})
 			}
 		}
 	}
 }
 
-// BBNCG_INCREMENTAL=0 must force the refill path even when a Cached
-// responder is wired, and still produce identical results.
-func TestIncrementalEnvDisable(t *testing.T) {
-	t.Setenv("BBNCG_INCREMENTAL", "0")
-	g := core.UniformGame(8, 1, core.SUM)
-	start := RandomProfile(g, rand.New(rand.NewSource(4)))
-	opts := Options{Responder: core.GreedyResponder, Cached: core.GreedyDeviatorResponder, MaxRounds: 100}
-	if pool, _ := opts.newPool(g); pool != nil {
-		t.Fatal("pool built despite BBNCG_INCREMENTAL=0")
-	}
-	got, err := Run(g, start, opts)
+// mustRun runs engine and fails the test on error.
+func mustRun(t testing.TB, engine func(*core.Game, *graph.Digraph, Options) (Result, error), g *core.Game, start *graph.Digraph, opts Options) Result {
+	t.Helper()
+	res, err := engine(g, start, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, start, Options{Responder: core.GreedyResponder, MaxRounds: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "Run", got, want)
+	return res
 }
 
 // The race test of the pooled speculative path: many parallel rounds

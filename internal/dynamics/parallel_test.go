@@ -80,7 +80,7 @@ func TestRunSimultaneousParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func assertSameResult(t *testing.T, label string, seq, par Result) {
+func assertSameResult(t testing.TB, label string, seq, par Result) {
 	t.Helper()
 	if seq.Converged != par.Converged || seq.Loop != par.Loop || seq.LoopLength != par.LoopLength ||
 		seq.Rounds != par.Rounds || seq.Moves != par.Moves {

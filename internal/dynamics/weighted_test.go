@@ -1,7 +1,6 @@
 package dynamics
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,56 +8,42 @@ import (
 	"repro/internal/graph"
 )
 
-// A weighted run must be invariant across the whole engine knob matrix
-// and across pooled vs plain responders: the weighted cache tier, the
-// Δ-stepping fill, the stamps ladder and the SUM kernel select
-// implementations, never trajectories.
+// A weighted run must match the oracle (per-candidate Dijkstra, no
+// pool) on plain and pooled responders, sequential and parallel: the
+// weighted cache tier, the Δ-stepping fill, the pool ladder and the SUM
+// kernel select implementations, never trajectories.
 func TestRunWeightedKnobMatrix(t *testing.T) {
+	forceWorkers(t)
 	g := core.UniformGame(20, 2, core.SUM)
 	wts := graph.NewWeights(20, 11, 7)
 	start := RandomProfile(g, rand.New(rand.NewSource(3)))
-
-	run := func(pooled bool) Result {
-		opts := Options{
-			Responder:        core.WeightedGreedyResponder(wts),
-			Weights:          wts,
-			MaxRounds:        40,
-			RecordTrajectory: true,
-		}
-		if pooled {
-			opts.Cached = core.GreedyDeviatorResponder
-		}
-		res, err := Run(g, start, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	opts := Options{
+		Responder:        core.WeightedGreedyResponder(wts),
+		Weights:          wts,
+		MaxRounds:        40,
+		RecordTrajectory: true,
 	}
-	same := func(a, b Result, label string) {
-		t.Helper()
-		if a.Moves != b.Moves || a.Rounds != b.Rounds || a.Converged != b.Converged ||
-			!a.Final.Equal(b.Final) || fmt.Sprint(a.Trajectory) != fmt.Sprint(b.Trajectory) {
-			t.Fatalf("%s diverged:\nref %+v\ngot %+v", label, a, b)
-		}
-	}
-
-	ref := run(true)
+	ref := runOracle(t, Run, g, start, opts)
 	if !ref.Converged {
 		t.Fatalf("weighted dynamics did not converge: %+v", ref)
 	}
-	same(ref, run(false), "plain responder")
-	for _, wstep := range []string{"1", "0"} {
-		for _, stamps := range []string{"1", "0"} {
-			for _, kernel := range []string{"1", "0"} {
-				t.Setenv("BBNCG_WSTEP", wstep)
-				t.Setenv("BBNCG_STAMPS", stamps)
-				t.Setenv("BBNCG_SUMKERNEL", kernel)
-				same(ref, run(true), fmt.Sprintf("wstep=%s stamps=%s kernel=%s", wstep, stamps, kernel))
-			}
+	for _, c := range []struct {
+		label    string
+		cached   core.DeviatorResponder
+		parallel bool
+	}{
+		{"plain responder", nil, false},
+		{"pooled", core.GreedyDeviatorResponder, false},
+		{"pooled parallel", core.GreedyDeviatorResponder, true},
+	} {
+		o := opts
+		o.Cached, o.Parallel = c.cached, c.parallel
+		res, err := Run(g, start, o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameResult(t, c.label, res, ref)
 	}
-	t.Setenv("BBNCG_INCREMENTAL", "0")
-	same(ref, run(true), "incremental off")
 }
 
 // An externally supplied weighted pool must survive across runs the way

@@ -53,11 +53,8 @@ func BestResponseImprovementGraph(g *core.Game, cap int64) (FIPResult, error) {
 	// very few players' strategies, so a cache pool repairs each player's
 	// distance matrix across profiles (delta BFS over the changed edges)
 	// instead of refilling it per (profile, player) pair.
-	var pool *core.CachePool
-	if core.IncrementalEnabled() {
-		pool = core.NewCachePool(g, 0)
-		defer pool.Close()
-	}
+	pool := core.NewCachePool(g, 0)
+	defer pool.Close()
 	for pi, p := range profiles {
 		d := p.Realize()
 		pool.Invalidate()
@@ -66,17 +63,7 @@ func BestResponseImprovementGraph(g *core.Game, cap int64) (FIPResult, error) {
 			if g.Budgets[u] == 0 {
 				continue
 			}
-			var dv *core.Deviator
-			if pool != nil {
-				dv = pool.Acquire(d, u)
-			} else {
-				dv = core.NewDeviator(g, d, u)
-				if core.StrategySpaceSize(n, g.Budgets[u]) >= int64(n) {
-					// Amortise one cache fill over the full candidate scan:
-					// each Eval below becomes an O(n) min-merge, not a BFS.
-					dv.EnsureCache(core.DefaultCacheBudget)
-				}
-			}
+			dv := pool.Acquire(d, u)
 			cur := dv.Eval(p[u])
 			best := cur
 			var bests [][]int

@@ -54,7 +54,7 @@ func evalDirected(p runner.Point) (any, error) {
 	und := core.UniformGame(c.n, c.b, core.SUM)
 	dir := bbc.UniformGame(c.n, c.b)
 	r := directedRow{N: c.n, B: c.b, Trials: c.trials}
-	pool := cellPool(und)
+	pool := core.NewCachePool(und, 0)
 	defer pool.Close()
 	for trial := 0; trial < c.trials; trial++ {
 		start := dynamics.RandomProfile(und, rng)

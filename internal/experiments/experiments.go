@@ -232,21 +232,6 @@ func unitJob(version core.Version, effort Effort, seed int64) runner.Job {
 	}}
 }
 
-// cellPool builds the distance-cache pool shared by every trial of one
-// sweep cell. The trials of a cell run the same game back to back on a
-// single goroutine, so the warm per-player matrices survive across them
-// — each run invalidates the pool on entry and resyncs entries against
-// its own start profile — instead of being refilled from scratch per
-// trial. Returns nil (letting the engine skip pooling entirely) when
-// the incremental path is disabled. Callers own the pool and must
-// Close it when the cell is done.
-func cellPool(g *core.Game) *core.CachePool {
-	if !core.IncrementalEnabled() {
-		return nil
-	}
-	return core.NewCachePool(g, 0)
-}
-
 // evalUnit runs the unit-budget dynamics trials for one n and audits
 // every reached equilibrium against Theorems 4.1/4.2.
 func evalUnit(version core.Version, trials int, p runner.Point) (any, error) {
@@ -254,7 +239,13 @@ func evalUnit(version core.Version, trials int, p runner.Point) (any, error) {
 	rng := rand.New(rand.NewSource(p.Seed + int64(n)))
 	g := core.UniformGame(n, 1, version)
 	res := UnitResult{N: n, Trials: trials}
-	pool := cellPool(g)
+	// One distance-cache pool serves every trial of the cell, here and in
+	// the other sweeps. The trials run the same game back to back on a
+	// single goroutine, so the warm per-player matrices survive across
+	// them — each run invalidates the pool on entry and resyncs entries
+	// against its own start profile — instead of being refilled from
+	// scratch per trial.
+	pool := core.NewCachePool(g, 0)
 	defer pool.Close()
 	for trial := 0; trial < trials; trial++ {
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{

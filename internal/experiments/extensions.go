@@ -178,7 +178,7 @@ func evalUniformBudget(p runner.Point) (any, error) {
 	rng := rand.New(rand.NewSource(p.Seed + int64(c.n*13+c.b)))
 	g := core.UniformGame(c.n, c.b, c.ver)
 	row.Worst = -1
-	pool := cellPool(g)
+	pool := core.NewCachePool(g, 0)
 	defer pool.Close()
 	for trial := 0; trial < 6; trial++ {
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
@@ -346,7 +346,7 @@ func evalWeakMachinery(p runner.Point) (any, error) {
 	var rows []weakRow
 	audit := func(label string, d *graph.Digraph, n int) error {
 		radius := analysis.MaxTreeBallRadius(d)
-		wg := core.NewWeighted(d.Clone())
+		wg := core.NewVertexWeighted(d.Clone())
 		leafAudit := analysis.AuditRichLeaves(wg)
 		report, err := analysis.FoldExperiment(wg)
 		if err != nil {

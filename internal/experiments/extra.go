@@ -245,7 +245,7 @@ func evalConnectivity(p runner.Point) (any, error) {
 	rng := rand.New(rand.NewSource(p.Seed + int64(n*31+k)))
 	g := core.UniformGame(n, k, core.SUM)
 	r := connectivityRow{N: n, K: k}
-	pool := cellPool(g)
+	pool := core.NewCachePool(g, 0)
 	defer pool.Close()
 	for trial := 0; trial < trials; trial++ {
 		responder := core.Responder(core.GreedyResponder)
@@ -352,7 +352,7 @@ func evalDynamicsStats(trials int, p runner.Point) (any, error) {
 	rng := rand.New(rand.NewSource(p.Seed + int64(cell.n)))
 	g := core.UniformGame(cell.n, 1, cell.ver)
 	r := dynStatsRow{Version: cell.ver.String(), Scheduler: cell.sched, N: cell.n, Trials: trials}
-	pool := cellPool(g)
+	pool := core.NewCachePool(g, 0)
 	defer pool.Close()
 	for trial := 0; trial < trials; trial++ {
 		var sched dynamics.Scheduler = dynamics.RoundRobin{}

@@ -54,7 +54,7 @@ func evalSimultaneous(p runner.Point) (any, error) {
 	rng := rand.New(rand.NewSource(p.Seed + int64(c.n)*1001 + int64(c.ver)))
 	g := core.UniformGame(c.n, 1, c.ver)
 	r := simulRow{Version: c.ver.String(), N: c.n, Trials: c.trials}
-	pool := cellPool(g)
+	pool := core.NewCachePool(g, 0)
 	defer pool.Close()
 	for trial := 0; trial < c.trials; trial++ {
 		start := dynamics.RandomProfile(g, rng)

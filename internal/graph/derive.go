@@ -133,12 +133,8 @@ func (c *CSR) orphansY(row []int32, y int32) bool {
 // DeriveRowsWeighted is DeriveRows for offset-adjusted weighted rows: c
 // is the weighted CSR of the whole graph, off the offsets of the
 // derived matrix (G−y) and donorOff those of donor (G−x), both at the
-// weights c was packed from. It declines (ok false) under
-// BBNCG_WSTEP=0, which pins the whole layer to the Dijkstra reference.
+// weights c was packed from.
 func (c *WCSR) DeriveRowsWeighted(rows, donor, off, donorOff []int32, x, y int32, ds *WDeltaScratch) (st RepairStats, ok bool) {
-	if !WStepEnabled() {
-		return st, false
-	}
 	n := c.N()
 	if ds.ws == nil {
 		ds.ws = newWScratch(c.MaxW)

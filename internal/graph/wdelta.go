@@ -26,10 +26,8 @@ package graph
 // The thresholds mirror delta.go: classification is abandoned past
 // RepairDeltaCap delta edges or RepairRefillFraction damaged rows, and
 // the call reports FullRefill with the rows untouched for the caller to
-// rebuild whole. With BBNCG_WSTEP=0 every repair reports FullRefill, so
-// callers degrade to a full scalar Dijkstra refill — the complete
-// reference path the fuzz and property suites pin the incremental path
-// against, bit for bit.
+// rebuild whole. The fuzz and property suites pin the repaired rows
+// against a fresh fill, bit for bit.
 
 // WDeltaScratch holds the reusable buffers of RepairRowsWeighted and
 // DeriveRowsWeighted. Not safe for concurrent use.
@@ -66,7 +64,7 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WE
 	if n == 0 || len(removed)+len(added) == 0 {
 		return st
 	}
-	if !WStepEnabled() || len(removed)+len(added) > RepairDeltaCap(n) {
+	if len(removed)+len(added) > RepairDeltaCap(n) {
 		st.FullRefill = true
 		return st
 	}

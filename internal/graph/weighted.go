@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 )
@@ -12,9 +11,9 @@ import (
 // positive int32 weights and rows are filled by a parallel Δ-stepping
 // SSSP (one bucketed scan per source over the shared worker pool, the
 // SPAA'21 stepping-algorithms idiom) instead of the word-parallel BFS.
-// A scalar binary-heap Dijkstra provides the reference fill; the two are
-// bit-identical — weighted shortest-path distances are unique values —
-// and BBNCG_WSTEP=0 pins the whole layer to the reference path.
+// Weighted shortest-path distances are unique values, so the fill is
+// bit-identical to a scalar binary-heap Dijkstra — the reference the
+// tests check it against.
 //
 // Offset-adjusted rows. The engine consumes rows through min-merge
 // kernels hard-wired to "distance via anchor v = 1 + row_v[w]". Weighted
@@ -29,14 +28,6 @@ import (
 // nonnegative, so the triangle-inequality floor survives the shift) —
 // then runs unchanged on weighted rows. At unit weights every offset is
 // zero and the rows coincide bit-for-bit with the BFS cache.
-
-// WStepEnabled reports whether the parallel Δ-stepping fill and the
-// incremental weighted repair are on (the default). Setting
-// BBNCG_WSTEP=0 restores the scalar Dijkstra reference path — fills run
-// the binary heap and repairs degrade to full Dijkstra refills — for
-// A/B benchmarking; results are identical either way. The flag is read
-// per fill, mirroring BBNCG_INCREMENTAL.
-func WStepEnabled() bool { return os.Getenv("BBNCG_WSTEP") != "0" }
 
 // FitsWeightedCache reports whether offset-adjusted weighted distances
 // of an n-vertex graph with weights in [1, maxW] stay strictly below the
@@ -276,12 +267,11 @@ func NewWCSRExcluding(a Und, wts *Weights, u int) *WCSR {
 }
 
 // wScratch is the per-worker state of the weighted fills: the Δ-stepping
-// bucket ring and the Dijkstra binary heap, both reused across sources
-// (the SNIPPETS bucket/workspace-reuse idiom — per-source allocation
-// would dominate the scan on settled low-diameter graphs).
+// bucket ring, reused across sources (the SNIPPETS bucket/workspace-reuse
+// idiom — per-source allocation would dominate the scan on settled
+// low-diameter graphs).
 type wScratch struct {
 	buckets [][]int32 // ring, indexed by (trueDist/delta) mod len
-	heap    []int64   // packed dist<<32 | vertex entries
 }
 
 // steppingDelta returns the Δ of the bucket structure: maxW/4 (floored
@@ -307,26 +297,16 @@ func newWScratch(maxW int32) *wScratch {
 // unreachable. off may be nil (all offsets zero); offsets must be
 // nonnegative and small enough that adjusted entries stay below InfDist
 // (FitsWeightedCache). Sources run in parallel over the worker pool,
-// by Δ-stepping (WStepEnabled) or the scalar Dijkstra reference.
+// one Δ-stepping scan each.
 func (c *WCSR) DistanceRowsInto(dst []int32, off []int32) {
 	n := c.N()
-	stepping := WStepEnabled()
 	parallelRange(n, 64, func() *wScratch { return newWScratch(c.MaxW) }, func(ws *wScratch, src int) {
 		var o int32
 		if off != nil {
 			o = off[src]
 		}
-		c.fillRow(int32(src), dst[src*n:(src+1)*n], o, ws, stepping)
+		c.steppingRow(int32(src), dst[src*n:(src+1)*n], o, -1, ws)
 	})
-}
-
-// fillRow fills one source's offset-adjusted row by the selected fill.
-func (c *WCSR) fillRow(src int32, row []int32, o int32, ws *wScratch, stepping bool) {
-	if stepping {
-		c.steppingRow(src, row, o, -1, ws)
-	} else {
-		c.dijkstraRow(src, row, o, ws)
-	}
 }
 
 // steppingRow is one Δ-stepping SSSP: tentative distances live in the
@@ -381,37 +361,9 @@ func (c *WCSR) steppingRow(src int32, row []int32, o, block int32, ws *wScratch)
 	}
 }
 
-// dijkstraRow is the scalar reference SSSP: a binary heap of packed
-// dist<<32|vertex entries with lazy deletion. Adjusted distances stay
-// below InfDist < 2^31, so the packed keys order by distance first.
-func (c *WCSR) dijkstraRow(src int32, row []int32, o int32, ws *wScratch) {
-	for i := range row {
-		row[i] = InfDist
-	}
-	row[src] = o
-	h := ws.heap[:0]
-	h = heapPush(h, int64(o)<<32|int64(src))
-	for len(h) > 0 {
-		var e int64
-		e, h = heapPop(h)
-		d := int32(e >> 32)
-		v := int32(e & 0xffffffff)
-		if row[v] != d {
-			continue // stale entry
-		}
-		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
-			w := c.Nbrs[k]
-			nd := d + c.W[k]
-			if nd < row[w] {
-				row[w] = nd
-				h = heapPush(h, int64(nd)<<32|int64(w))
-			}
-		}
-	}
-	ws.heap = h
-}
-
 // heapPush inserts e into the binary min-heap h and returns the heap.
+// Entries pack dist<<32|vertex; adjusted distances stay below
+// InfDist < 2^31, so the packed keys order by distance first.
 func heapPush(h []int64, e int64) []int64 {
 	h = append(h, e)
 	i := len(h) - 1

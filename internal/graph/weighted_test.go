@@ -13,6 +13,34 @@ func wRows(c *WCSR, off []int32) []int32 {
 	return rows
 }
 
+// dijkstraRow is the weighted reference SSSP the Δ-stepping fill and
+// the weighted repair are checked against: a scalar binary heap of
+// packed dist<<32|vertex entries with lazy deletion.
+func (c *WCSR) dijkstraRow(src int32, row []int32, o int32) {
+	for i := range row {
+		row[i] = InfDist
+	}
+	row[src] = o
+	h := heapPush(nil, int64(o)<<32|int64(src))
+	for len(h) > 0 {
+		var e int64
+		e, h = heapPop(h)
+		d := int32(e >> 32)
+		v := int32(e & 0xffffffff)
+		if row[v] != d {
+			continue // stale entry
+		}
+		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
+			w := c.Nbrs[k]
+			nd := d + c.W[k]
+			if nd < row[w] {
+				row[w] = nd
+				h = heapPush(h, int64(nd)<<32|int64(w))
+			}
+		}
+	}
+}
+
 func TestWeightsDeterminismAndSet(t *testing.T) {
 	w := NewWeights(16, 7, 9)
 	for u := 0; u < 16; u++ {
@@ -128,9 +156,8 @@ func TestSteppingMatchesDijkstra(t *testing.T) {
 		c := NewWCSRExcluding(a, wts, u)
 		got := wRows(c, nil)
 		want := make([]int32, n*n)
-		ws := newWScratch(c.MaxW)
 		for s := 0; s < n; s++ {
-			c.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0, ws)
+			c.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -146,26 +173,6 @@ func TestSteppingMatchesDijkstra(t *testing.T) {
 						i/n, i%n, got[i], bfs[i])
 				}
 			}
-		}
-	}
-}
-
-// BBNCG_WSTEP=0 must route fills through the reference path with
-// bit-identical output.
-func TestWStepKnob(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	d := randomDigraphFor(24, 3, rng)
-	wts := NewWeights(24, 9, 13)
-	c := NewWCSRExcluding(d.Underlying(), wts, 5)
-	on := wRows(c, nil)
-	t.Setenv("BBNCG_WSTEP", "0")
-	if WStepEnabled() {
-		t.Fatal("WStepEnabled with BBNCG_WSTEP=0")
-	}
-	off := wRows(c, nil)
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("knob changed cell %d: %d vs %d", i, on[i], off[i])
 		}
 	}
 }
@@ -274,9 +281,8 @@ func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32
 		newCSR.DistanceRowsInto(rows, nil)
 	}
 	want := make([]int32, n*n)
-	ws := newWScratch(newCSR.MaxW)
 	for s := 0; s < n; s++ {
-		newCSR.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0, ws)
+		newCSR.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0)
 	}
 	for i := range want {
 		if rows[i] != want[i] {

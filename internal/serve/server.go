@@ -147,9 +147,9 @@ type statusRecorder struct {
 	code int
 }
 
-func (r *statusRecorder) Header() http.Header       { return r.h }
+func (r *statusRecorder) Header() http.Header         { return r.h }
 func (r *statusRecorder) Write(p []byte) (int, error) { return len(p), nil }
-func (r *statusRecorder) WriteHeader(code int)      { r.code = code }
+func (r *statusRecorder) WriteHeader(code int)        { r.code = code }
 
 // handleUnmatched answers requests no route claimed with the uniform
 // envelope: unknown /v{n} prefixes get code unsupported_version (the

@@ -159,10 +159,12 @@ func (s *Server) streamDynamics(w http.ResponseWriter, r *http.Request, sess *Se
 			return // client gone; nothing to tell it
 		}
 		status, code := errToAPI(err)
-		_ = status // SSE is committed to 200; the code travels in the event
+		// SSE is committed to 200; the code travels in the event.
+		_ = status
 		sw.event(api.StreamEventError, -1, api.ErrorEnvelope{Err: api.Error{Code: code, Message: err.Error()}}) //nolint:errcheck
 		return
 	}
-	rep.Trace = nil // rounds already streamed; done carries the summary only
+	// Rounds already streamed; done carries the summary only.
+	rep.Trace = nil
 	sw.event(api.StreamEventDone, -1, rep) //nolint:errcheck
 }

@@ -37,14 +37,14 @@ const VersionHeader = "Bbncg-Api-Version"
 // Machine-readable error codes carried in the Error envelope. Clients
 // branch on Code; Message is for humans.
 const (
-	CodeBadRequest         = "bad_request"          // malformed body, query or wire value (400)
-	CodeNotFound           = "not_found"            // no such session or route (404)
-	CodeMethodNotAllowed   = "method_not_allowed"   // route exists, method does not (405)
-	CodeGone               = "gone"                 // session deleted or server shut down (410)
-	CodeRateLimited        = "rate_limited"         // per-client token quota exhausted (429)
-	CodeConcurrencyLimited = "concurrency_limited"  // per-client in-flight cap reached (429)
-	CodeUnsupportedVersion = "unsupported_version"  // unknown /v{n} prefix (404)
-	CodeInternal           = "internal"             // server-side failure (500)
+	CodeBadRequest         = "bad_request"         // malformed body, query or wire value (400)
+	CodeNotFound           = "not_found"           // no such session or route (404)
+	CodeMethodNotAllowed   = "method_not_allowed"  // route exists, method does not (405)
+	CodeGone               = "gone"                // session deleted or server shut down (410)
+	CodeRateLimited        = "rate_limited"        // per-client token quota exhausted (429)
+	CodeConcurrencyLimited = "concurrency_limited" // per-client in-flight cap reached (429)
+	CodeUnsupportedVersion = "unsupported_version" // unknown /v{n} prefix (404)
+	CodeInternal           = "internal"            // server-side failure (500)
 )
 
 // Error is the typed wire error: a stable machine-readable code plus a
