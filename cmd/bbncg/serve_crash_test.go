@@ -60,7 +60,9 @@ func startServe(t *testing.T, dir string, extra ...string) *serveProc {
 	cmd.Env = append(os.Environ(), "BBNCG_REEXEC=1")
 	pr, pw := io.Pipe()
 	saved := &lockedBuffer{}
-	cmd.Stderr = io.MultiWriter(pw, saved)
+	// saved first: the scanner below may hand back the address before
+	// the pipe write returns, and the caller then reads saved at once.
+	cmd.Stderr = io.MultiWriter(saved, pw)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -105,10 +105,11 @@ func (g *Game) greedyOn(dv *Deviator, d *graph.Digraph) BestResponse {
 	return res
 }
 
-// eccResult converts a level-union covering radius and covered count
-// into the BFS aggregates the MAX cost consumes, mirroring maxKernel:
-// anchor distances are one hop from the source, and an anchorless
-// source is isolated (eccentricity 0, itself reached).
+// eccResult converts the farthest covered anchor distance k and the
+// covered count — from a level union or from graph.MaxMerge — into the
+// BFS aggregates the MAX cost consumes: anchor distances are one hop
+// from the source, and a source that covers nothing is isolated
+// (eccentricity 0, itself reached).
 func eccResult(k int32, covered int) graph.BFSResult {
 	r := graph.BFSResult{Ecc: k + 1, Reached: covered + 1}
 	if covered == 0 {

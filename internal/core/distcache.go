@@ -33,7 +33,8 @@ import (
 // matrices, which is how the parallel exact responder shards enumeration.
 
 // DefaultCacheBudget caps the distance-cache size (in bytes) built by the
-// best-response heuristics: 256 MiB, i.e. the full matrix up to n ≈ 8192.
+// best-response heuristics: 256 MiB, i.e. the full matrix up to n = 8191
+// (4·8191·8192 bytes; n = 8192 needs 4·8192·8193, just over the cap).
 // Set it lower (or to 0, disabling caching) to bound memory on sweeps that
 // run many responders concurrently.
 var DefaultCacheBudget int64 = 256 << 20
@@ -138,12 +139,7 @@ func (dv *Deviator) rebuildInMin() {
 		inMin[i] = graph.InfDist
 	}
 	for _, v := range dv.in {
-		row := dv.rows[v*n : (v+1)*n]
-		for w, r := range row {
-			if r < inMin[w] {
-				inMin[w] = r
-			}
-		}
+		graph.MinInto(inMin, dv.rows[v*n:(v+1)*n])
 	}
 	dv.sumSufInOK = false
 }
@@ -435,7 +431,8 @@ func (dv *Deviator) clone() *Deviator {
 //
 // The pass is specialised per cost version — SUM never reads the
 // eccentricity and MAX never reads the distance sum, so each kernel
-// carries only the accumulator its costFromBFS consumes.
+// (graph.SumMerge, graph.MaxMerge) carries only the accumulator its
+// costFrom consumes.
 func (dv *Deviator) aggregate(vec []int32, extra int) graph.BFSResult {
 	var row []int32
 	if extra >= 0 {
@@ -448,55 +445,16 @@ func (dv *Deviator) aggregate(vec []int32, extra int) graph.BFSResult {
 		sum, reached := graph.SumMerge(vec, row)
 		return graph.BFSResult{Sum: sum, Reached: reached + 1}
 	case MAX:
-		return maxKernel(vec, row)
+		return eccResult(graph.MaxMerge(vec, row))
 	default:
 		panic("core: unknown version")
 	}
 }
 
-// maxKernel is the fused min+max pass of the MAX cost: eccentricity and
-// reached count of min(vec, row) (row may be nil).
-func maxKernel(vec, row []int32) graph.BFSResult {
-	var ecc int32
-	reached := 1
-	if row != nil {
-		for w, m := range vec {
-			if r := row[w]; r < m {
-				m = r
-			}
-			if m < graph.InfDist {
-				if m > ecc {
-					ecc = m
-				}
-				reached++
-			}
-		}
-	} else {
-		for _, m := range vec {
-			if m < graph.InfDist {
-				if m > ecc {
-					ecc = m
-				}
-				reached++
-			}
-		}
-	}
-	ecc++ // distances are m+1; reached > 1 guarantees a positive ecc
-	if reached == 1 {
-		ecc = 0 // isolated source: eccentricity 0 within the reached set
-	}
-	return graph.BFSResult{Ecc: ecc, Reached: reached}
-}
-
 // mergeRow folds anchor v's cached distance row into the running
 // min-vector vec (the incremental step of the greedy responder).
 func (dv *Deviator) mergeRow(vec []int32, v int) {
-	row := dv.rows[v*len(vec) : (v+1)*len(vec)]
-	for w, r := range row {
-		if r < vec[w] {
-			vec[w] = r
-		}
-	}
+	graph.MinInto(vec, dv.rows[v*len(vec):(v+1)*len(vec)])
 }
 
 // touched tracks which G-u components the growing anchor set reaches —
@@ -582,55 +540,28 @@ func (dv *Deviator) evalCached(strategy []int) int64 {
 			break
 		}
 	}
-	if dv.game.Version == SUM {
-		// SUM never reads the eccentricity or the component count, so the
-		// whole evaluation is one (or, past two anchors, a merged) blocked
-		// kernel pass instead of the per-vertex strategy loop below.
-		var s int64
-		var reached int
-		switch len(strategy) {
-		case 0:
-			s, reached = graph.SumMerge(dv.inMin, nil)
-		case 1:
-			s, reached = graph.SumMerge(dv.inMin, dv.rows[strategy[0]*n:(strategy[0]+1)*n])
-		default:
-			vec := getInt32(n)
-			copy(vec, dv.inMin)
-			for _, v := range strategy[:len(strategy)-1] {
-				graph.MinInto(vec, dv.rows[v*n:(v+1)*n])
-			}
-			last := strategy[len(strategy)-1]
-			s, reached = graph.SumMerge(vec, dv.rows[last*n:(last+1)*n])
-			putInt32(vec)
-		}
-		return costFrom(n, dv.cinf, SUM, graph.BFSResult{Sum: s, Reached: reached + 1}, 1)
+	// One fused pass: the anchors but the last fold into a copy of
+	// inMin, and the kernel merges the last anchor's row on the fly.
+	vec, last := dv.inMin, -1
+	if len(strategy) > 0 {
+		last = strategy[len(strategy)-1]
 	}
-	var sum int64
-	var ecc int32
-	reached := 1
-	rows, inMin := dv.rows, dv.inMin
-	for w := 0; w < n; w++ {
-		m := inMin[w]
-		for _, v := range strategy {
-			if r := rows[v*n+w]; r < m {
-				m = r
-			}
+	if len(strategy) > 1 {
+		vec = getInt32(n)
+		copy(vec, dv.inMin)
+		for _, v := range strategy[:len(strategy)-1] {
+			graph.MinInto(vec, dv.rows[v*n:(v+1)*n])
 		}
-		if m >= graph.InfDist {
-			continue
-		}
-		d := m + 1
-		sum += int64(d)
-		if d > ecc {
-			ecc = d
-		}
-		reached++
 	}
-	res := graph.BFSResult{Ecc: ecc, Sum: sum, Reached: reached}
+	res := dv.aggregate(vec, last)
+	if len(strategy) > 1 {
+		putInt32(vec)
+	}
 	kappa := 1
-	if res.Reached != dv.game.N() {
+	if dv.game.Version == MAX && res.Reached != n {
+		// SUM never reads the component count.
 		touched := graph.CountComponentsTouched(dv.label, dv.seen, dv.u, strategy, dv.in)
 		kappa = dv.comps - touched + 1
 	}
-	return costFrom(dv.game.N(), dv.cinf, dv.game.Version, res, kappa)
+	return costFrom(n, dv.cinf, dv.game.Version, res, kappa)
 }

@@ -46,6 +46,33 @@ func TestRunWeightedKnobMatrix(t *testing.T) {
 	}
 }
 
+// A weighted greedy run that cycles must follow the oracle into the
+// cycle: the pool keeps repairing through every move of the loop, and
+// DetectLoops stops both runs at the same repeated profile. n=32, b=2,
+// weights in [1,16] at seed 173 enter a 2-cycle after 46 moves; it is
+// the only looping instance among seeds 0–200 at n ∈ {16, 32, 48},
+// b ∈ {1, 2, 3} and maxW ∈ {2, 4, 16, 64}.
+func TestRunWeightedLoopMatchesOracle(t *testing.T) {
+	const n, seed = 32, 173
+	g := core.UniformGame(n, 2, core.SUM)
+	wts := graph.NewWeights(n, seed, 16)
+	start := RandomProfile(g, rand.New(rand.NewSource(seed)))
+	opts := Options{
+		Responder:        core.WeightedGreedyResponder(wts),
+		Cached:           core.GreedyDeviatorResponder,
+		Weights:          wts,
+		DetectLoops:      true,
+		MaxRounds:        1000,
+		RecordTrajectory: true,
+	}
+	got := mustRun(t, Run, g, start, opts)
+	if !got.Loop || got.LoopLength != 2 || got.Moves != 46 {
+		t.Fatalf("want the 2-cycle after 46 moves, got loop=%v length=%d moves=%d rounds=%d",
+			got.Loop, got.LoopLength, got.Moves, got.Rounds)
+	}
+	assertSameResult(t, "pooled weighted loop", got, runOracle(t, Run, g, start, opts))
+}
+
 // An externally supplied weighted pool must survive across runs the way
 // run-owned pools survive across rounds, and the simultaneous engine
 // must record the weighted trajectory metric.

@@ -1,29 +1,34 @@
 package graph
 
-// Blocked SUM-side min-merge kernels. The SUM cost of a candidate
-// strategy is a fused pass over an n-entry running-min vector and one
-// cached distance row: merged distance m = min(vec[w], row[w]), each
-// reachable entry contributing m+1 to the distance sum. That pass is the
-// dominant cost of SUM dynamics rounds once the distance matrices are
-// pooled and repaired (PR 4), so the kernels here tighten it two ways:
+// Scan kernels. Every candidate strategy a responder scores costs one
+// fused pass over an n-entry running-min vector and one cached distance
+// row: merged distance m = min(vec[w], row[w]), each reachable entry
+// (m < InfDist) contributing to the cost. Two passes carry the dynamics:
 //
-//   - the length hint (row = row[:len(vec)]) hoists every bounds check
-//     out of the loop, and the reachability test compiles to arithmetic
-//     mask extraction instead of a per-entry branch, so throughput is
-//     flat regardless of how the reachable entries are distributed
-//     (4-/8-way manual unrolling was measured slower than this form on
-//     the reference hardware — the subslice headers cost more than the
-//     loop control they remove);
+//   - SumMerge, the min+sum pass of the SUM cost: the sum of m+1 over
+//     reachable entries and their count;
+//   - MaxMerge, the min+max pass of the MAX cost: the largest reachable
+//     m and the reachable count.
 //
-//   - SumMergeBounded processes the vectors in sumBlock-entry strips
-//     and, between strips, compares the partial sum against the
-//     caller's budget plus a monotone suffix lower bound on the entries
-//     not yet processed — bound-driven early termination in the style
-//     of Wilson–Zwick's forward-backward pruning. Soundness contract: a
-//     pruned scan certifies the true total strictly exceeds the budget,
-//     so callers minimising over candidates may skip pruned candidates
-//     without ever rejecting a true minimiser (core/sumkernel.go builds
-//     the bounds and owns the candidate-scan protocol).
+// Each dispatches once per call. On amd64 CPUs with AVX2 (probed once
+// at start-up, summerge_amd64.go) an assembly body takes the vectors 8
+// entries at a time — VPMINSD for the merge, a VPCMPGTD reachability
+// mask — and the Go loop finishes the tail of fewer than 8 entries.
+// Elsewhere, and on CPUs without AVX2, the Go loop takes the whole
+// vector. No flag, option or environment variable selects a path: the
+// CPU decides, and both paths return identical results for entries in
+// [0, InfDist]. The tests compare each dispatching kernel with its Go
+// loop and with a per-entry oracle.
+//
+// SumMergeBounded adds bound-driven early termination on top: it runs
+// SumMerge over sumBlock-entry strips and, between strips, compares the
+// partial sum against the caller's budget plus a monotone suffix lower
+// bound on the entries not yet processed — in the style of
+// Wilson–Zwick's forward-backward pruning. Soundness contract: a pruned
+// scan certifies the true total strictly exceeds the budget, so callers
+// minimising over candidates may skip pruned candidates without ever
+// rejecting a true minimiser (core/sumkernel.go builds the bounds and
+// owns the candidate-scan protocol).
 
 // sumBlock is the strip width of the bounded kernel: the pruning bound
 // is re-checked every sumBlock entries. Small enough that a hopeless
@@ -33,14 +38,30 @@ const sumBlock = 64
 
 // SumMerge is the fused min+sum kernel: the distance sum (sum of m+1
 // over reachable entries) and reachable count of min(vec, row). row may
-// be nil, in which case vec is aggregated alone. Bit-identical to the
-// scalar pass it replaces.
+// be nil, in which case vec is aggregated alone. Entries must lie in
+// [0, InfDist].
 func SumMerge(vec, row []int32) (sum int64, reached int) {
-	// One loop per function: a second loop in the same body was measured
-	// to degrade the register allocation of both.
 	if row == nil {
-		return sumVec(vec)
+		row = vec // min(vec, vec) = vec: the row-less pass is the same kernel
 	}
+	row = row[:len(vec)]
+	if !hasAVX2 || len(vec) < 8 {
+		return sumMergeGo(vec, row)
+	}
+	k := len(vec) &^ 7
+	sum, reached = sumMergeAVX2(vec[:k], row[:k])
+	if k < len(vec) {
+		s, c := sumMergeGo(vec[k:], row[k:])
+		sum, reached = sum+s, reached+c
+	}
+	return sum, reached
+}
+
+// sumMergeGo is SumMerge's Go loop, for CPUs without AVX2 and for tails.
+// The length hint hoists every bounds check out of the loop, and the
+// reachability test compiles to arithmetic mask extraction instead of a
+// per-entry branch.
+func sumMergeGo(vec, row []int32) (sum int64, reached int) {
 	row = row[:len(vec)]
 	var s int64
 	var c int32
@@ -58,17 +79,42 @@ func SumMerge(vec, row []int32) (sum int64, reached int) {
 	return s, int(c)
 }
 
-// sumVec is SumMerge's row-less half: aggregate the running-min vector
-// alone.
-func sumVec(vec []int32) (sum int64, reached int) {
-	var s int64
-	var c int32
-	for _, m := range vec {
+// MaxMerge is the fused min+max kernel: the largest reachable entry of
+// min(vec, row) (0 when none is reachable) and the reachable count. row
+// may be nil, in which case vec is aggregated alone. Entries must lie in
+// [0, InfDist].
+func MaxMerge(vec, row []int32) (far int32, reached int) {
+	if row == nil {
+		row = vec
+	}
+	row = row[:len(vec)]
+	if !hasAVX2 || len(vec) < 8 {
+		return maxMergeGo(vec, row)
+	}
+	k := len(vec) &^ 7
+	far, reached = maxMergeAVX2(vec[:k], row[:k])
+	if k < len(vec) {
+		f, c := maxMergeGo(vec[k:], row[k:])
+		far, reached = max(far, f), reached+c
+	}
+	return far, reached
+}
+
+// maxMergeGo is MaxMerge's Go loop, for CPUs without AVX2 and for tails:
+// the masked entry m&b is m when reachable and 0 otherwise, and 0 never
+// exceeds a reachable distance.
+func maxMergeGo(vec, row []int32) (far int32, reached int) {
+	row = row[:len(vec)]
+	var f, c int32
+	for w, m := range vec {
+		if r := row[w]; r < m {
+			m = r
+		}
 		b := (m - InfDist) >> 31
-		s += int64((m + 1) & b)
+		f = max(f, m&b)
 		c -= b
 	}
-	return s, int(c)
+	return f, int(c)
 }
 
 // SumMergeBounded is SumMerge with bound-driven early termination, in
@@ -85,57 +131,19 @@ func sumVec(vec []int32) (sum int64, reached int) {
 // the certificate that lets minimising callers skip the candidate.
 func SumMergeBounded(vec, row []int32, suffix []int64, cinf, budget int64) (sum int64, reached int, pruned bool) {
 	n := len(vec)
-	var s int64
-	var c int32
+	if row == nil {
+		row = vec
+	}
 	for start := 0; start < n; {
-		end := start + sumBlock
-		if end > n {
-			end = n
-		}
-		var bs int64
-		var bc int32
-		if row != nil {
-			bs, bc = sumMergeStrip(vec[start:end], row[start:end])
-		} else {
-			bs, bc = sumVecStrip(vec[start:end])
-		}
-		s += bs
-		c += bc
-		if end < n && s+int64(end-int(c))*cinf+suffix[end] > budget {
+		end := min(start+sumBlock, n)
+		s, c := SumMerge(vec[start:end], row[start:end])
+		sum, reached = sum+s, reached+c
+		if end < n && sum+int64(end-reached)*cinf+suffix[end] > budget {
 			return 0, 0, true
 		}
 		start = end
 	}
-	return s, int(c), false
-}
-
-// sumMergeStrip aggregates one strip of the bounded kernel; the
-// range-based form compiles to the same branchless loop as SumMerge.
-func sumMergeStrip(vec, row []int32) (sum int64, reached int32) {
-	row = row[:len(vec)]
-	var s int64
-	var c int32
-	for w, m := range vec {
-		if r := row[w]; r < m {
-			m = r
-		}
-		b := (m - InfDist) >> 31
-		s += int64((m + 1) & b)
-		c -= b
-	}
-	return s, c
-}
-
-// sumVecStrip is sumMergeStrip without a row.
-func sumVecStrip(vec []int32) (sum int64, reached int32) {
-	var s int64
-	var c int32
-	for _, m := range vec {
-		b := (m - InfDist) >> 31
-		s += int64((m + 1) & b)
-		c -= b
-	}
-	return s, c
+	return sum, reached, false
 }
 
 // WeightedSumMerge is the weighted fused min+sum kernel of the Section 6

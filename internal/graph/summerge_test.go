@@ -1,12 +1,15 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// scalarSumMerge is the reference the blocked kernel must match: the
-// pre-kernel per-entry loop, kept here verbatim as the oracle.
+// scalarSumMerge is SumMerge's test oracle: the per-entry loop of the
+// SUM pass, with the reachability test as a branch.
 func scalarSumMerge(vec, row []int32) (sum int64, reached int) {
 	for w, m := range vec {
 		if row != nil {
@@ -20,6 +23,25 @@ func scalarSumMerge(vec, row []int32) (sum int64, reached int) {
 		}
 	}
 	return sum, reached
+}
+
+// scalarMaxMerge is MaxMerge's test oracle: the per-entry loop of the
+// MAX pass.
+func scalarMaxMerge(vec, row []int32) (far int32, reached int) {
+	for w, m := range vec {
+		if row != nil {
+			if r := row[w]; r < m {
+				m = r
+			}
+		}
+		if m < InfDist {
+			if m > far {
+				far = m
+			}
+			reached++
+		}
+	}
+	return far, reached
 }
 
 // randVec draws a distance vector with a mixture of small distances and
@@ -37,24 +59,156 @@ func randVec(n int, rng *rand.Rand) []int32 {
 	return v
 }
 
-func TestSumMergeMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 63, 64, 65, 200, 513} {
-		for trial := 0; trial < 20; trial++ {
-			vec := randVec(n, rng)
-			row := randVec(n, rng)
-			gotS, gotR := SumMerge(vec, row)
-			wantS, wantR := scalarSumMerge(vec, row)
-			if gotS != wantS || gotR != wantR {
-				t.Fatalf("n=%d merged: got (%d,%d), want (%d,%d)", n, gotS, gotR, wantS, wantR)
-			}
-			gotS, gotR = SumMerge(vec, nil)
-			wantS, wantR = scalarSumMerge(vec, nil)
-			if gotS != wantS || gotR != wantR {
-				t.Fatalf("n=%d vec-only: got (%d,%d), want (%d,%d)", n, gotS, gotR, wantS, wantR)
-			}
+// kernelVec draws n entries below hi mixed with InfDist sentinels and
+// the largest finite entry hi-1, as the tail of a buffer starting off
+// entries in, so the kernels also see vectors that do not start on an
+// 8-entry boundary.
+func kernelVec(n, off int, hi int32, rng *rand.Rand) []int32 {
+	buf := make([]int32, off+n)
+	for i := range buf {
+		switch rng.Intn(4) {
+		case 0:
+			buf[i] = InfDist
+		case 1:
+			buf[i] = hi - 1
+		default:
+			buf[i] = rng.Int31n(hi)
 		}
 	}
+	return buf[off:]
+}
+
+// kernelCases calls check on vector pairs of every length from 0 to 600,
+// at sub-slice offsets 0–7, with entries either small (below n+2) or
+// anywhere up to InfDist-1, each with a row and with a nil row; plus a
+// vector saturated at InfDist-1, whose lane sums need 64 bits.
+func kernelCases(check func(vec, row []int32)) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 0; n <= 600; n++ {
+		for _, hi := range []int32{int32(n) + 2, InfDist} {
+			for trial := 0; trial < 3; trial++ {
+				vec := kernelVec(n, rng.Intn(8), hi, rng)
+				row := kernelVec(n, rng.Intn(8), hi, rng)
+				check(vec, row)
+				check(vec, nil)
+			}
+		}
+		full := make([]int32, n)
+		for i := range full {
+			full[i] = InfDist - 1
+		}
+		check(full, nil)
+		check(full, full)
+	}
+}
+
+// orVec is row, or vec when row is nil: the Go loops take the row-less
+// pass as vec merged with itself, as the dispatchers pass it.
+func orVec(row, vec []int32) []int32 {
+	if row == nil {
+		return vec
+	}
+	return row
+}
+
+func TestSumMergeMatchesScalar(t *testing.T) {
+	kernelCases(func(vec, row []int32) {
+		wantS, wantR := scalarSumMerge(vec, row)
+		if s, r := SumMerge(vec, row); s != wantS || r != wantR {
+			t.Fatalf("n=%d nil-row=%v: SumMerge (%d,%d), oracle (%d,%d)", len(vec), row == nil, s, r, wantS, wantR)
+		}
+		if s, r := sumMergeGo(vec, orVec(row, vec)); s != wantS || r != wantR {
+			t.Fatalf("n=%d nil-row=%v: Go loop (%d,%d), oracle (%d,%d)", len(vec), row == nil, s, r, wantS, wantR)
+		}
+	})
+}
+
+func TestMaxMergeMatchesScalar(t *testing.T) {
+	kernelCases(func(vec, row []int32) {
+		wantF, wantR := scalarMaxMerge(vec, row)
+		if f, r := MaxMerge(vec, row); f != wantF || r != wantR {
+			t.Fatalf("n=%d nil-row=%v: MaxMerge (%d,%d), oracle (%d,%d)", len(vec), row == nil, f, r, wantF, wantR)
+		}
+		if f, r := maxMergeGo(vec, orVec(row, vec)); f != wantF || r != wantR {
+			t.Fatalf("n=%d nil-row=%v: Go loop (%d,%d), oracle (%d,%d)", len(vec), row == nil, f, r, wantF, wantR)
+		}
+	})
+}
+
+// kernelVecs decodes fuzz bytes into a vector pair for the scan kernels.
+// Byte 0 picks the sub-slice offsets (bits 0–2 for vec, 3–5 for row);
+// every further 8 bytes give one entry of each, as two little-endian
+// words mapped by kernelEntry.
+func kernelVecs(data []byte) (vec, row []int32) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	offV, offR := int(data[0]&7), int(data[0]>>3&7)
+	data = data[1:]
+	n := len(data) / 8
+	vb, rb := make([]int32, offV+n), make([]int32, offR+n)
+	for i := 0; i < n; i++ {
+		vb[offV+i] = kernelEntry(binary.LittleEndian.Uint32(data[8*i:]))
+		rb[offR+i] = kernelEntry(binary.LittleEndian.Uint32(data[8*i+4:]))
+	}
+	return vb[offV:], rb[offR:]
+}
+
+// kernelEntry maps a fuzz word into the kernels' domain [0, InfDist]:
+// bit 31 makes it InfDist, bit 30 a small distance (its low byte), and
+// otherwise its low 30 bits are any finite distance up to InfDist-1.
+func kernelEntry(x uint32) int32 {
+	switch {
+	case x>>31 != 0:
+		return InfDist
+	case x>>30 != 0:
+		return int32(x & 0xff)
+	default:
+		return int32(x & uint32(InfDist-1))
+	}
+}
+
+// kernelSeeds are an empty input, a short mixed pair, and 600 entries
+// saturated at InfDist-1 on odd offsets.
+func kernelSeeds(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x09, 1, 0, 0, 0x40, 2, 0, 0, 0x40, 0, 0, 0, 0x80, 7, 0, 0, 0x40, 0xff, 0xff, 0xff, 0x3f, 3, 0, 0, 0})
+	f.Add(append([]byte{0x0b}, bytes.Repeat([]byte{0xff, 0xff, 0xff, 0x3f}, 1200)...))
+}
+
+// FuzzSumMerge compares the dispatching kernel, its Go loop and the
+// test oracle on fuzzed vector pairs, with a row and without.
+func FuzzSumMerge(f *testing.F) {
+	kernelSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vec, row := kernelVecs(data)
+		for _, row := range [][]int32{row, nil} {
+			wantS, wantR := scalarSumMerge(vec, row)
+			gotS, gotR := SumMerge(vec, row)
+			goS, goR := sumMergeGo(vec, orVec(row, vec))
+			if gotS != wantS || gotR != wantR || goS != wantS || goR != wantR {
+				t.Fatalf("n=%d nil-row=%v: SumMerge (%d,%d), Go loop (%d,%d), oracle (%d,%d)",
+					len(vec), row == nil, gotS, gotR, goS, goR, wantS, wantR)
+			}
+		}
+	})
+}
+
+// FuzzMaxMerge is FuzzSumMerge for the MAX pass.
+func FuzzMaxMerge(f *testing.F) {
+	kernelSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vec, row := kernelVecs(data)
+		for _, row := range [][]int32{row, nil} {
+			wantF, wantR := scalarMaxMerge(vec, row)
+			gotF, gotR := MaxMerge(vec, row)
+			goF, goR := maxMergeGo(vec, orVec(row, vec))
+			if gotF != wantF || gotR != wantR || goF != wantF || goR != wantR {
+				t.Fatalf("n=%d nil-row=%v: MaxMerge (%d,%d), Go loop (%d,%d), oracle (%d,%d)",
+					len(vec), row == nil, gotF, gotR, goF, goR, wantF, wantR)
+			}
+		}
+	})
 }
 
 // contribTotal is the "total contribution" the bounded kernel reasons
@@ -181,19 +335,31 @@ func TestMinInto(t *testing.T) {
 	}
 }
 
-func BenchmarkSumMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	n := 1024
-	vec := randVec(n, rng)
-	row := randVec(n, rng)
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			SumMerge(vec, row)
+// BenchmarkScanKernels times each scan kernel's dispatching entry point
+// against its Go loop at the lengths the engine scans: a tiny game, the
+// serve sessions' n=96 and the converge families' n=512.
+func BenchmarkScanKernels(b *testing.B) {
+	kernels := []struct {
+		name string
+		fn   func(vec, row []int32) int64
+	}{
+		{"SumMerge", func(vec, row []int32) int64 { s, _ := SumMerge(vec, row); return s }},
+		{"sumMergeGo", func(vec, row []int32) int64 { s, _ := sumMergeGo(vec, row); return s }},
+		{"MaxMerge", func(vec, row []int32) int64 { f, _ := MaxMerge(vec, row); return int64(f) }},
+		{"maxMergeGo", func(vec, row []int32) int64 { f, _ := maxMergeGo(vec, row); return int64(f) }},
+	}
+	for _, n := range []int{12, 96, 512} {
+		rng := rand.New(rand.NewSource(5))
+		vec, row := randVec(n, rng), randVec(n, rng)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
+				for b.Loop() {
+					kernelSink = k.fn(vec, row)
+				}
+			})
 		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scalarSumMerge(vec, row)
-		}
-	})
+	}
 }
+
+// kernelSink keeps the benchmarked calls live.
+var kernelSink int64
