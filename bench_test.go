@@ -348,17 +348,16 @@ func chordRing(n int) graph.Und {
 
 // BenchmarkGreedyDynamicsRound measures one full greedy-response round
 // (every player responds once) across the perf-trajectory sizes:
-// "Baseline" is the pre-cache configuration (BFS per candidate,
-// sequential round), "Fast" the distance-cache engine with parallel
-// within-round evaluation.
+// "Baseline" is the pre-cache configuration (BFS per candidate),
+// "Fast" the distance-cache engine; both run the sequential round.
 func BenchmarkGreedyDynamicsRound(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
 		g := core.UniformGame(n, 2, core.SUM)
 		start := dynamics.RandomProfile(g, rand.New(rand.NewSource(1)))
-		round := func(b *testing.B, parallel bool) {
+		round := func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := dynamics.Run(g, start, dynamics.Options{
-					Responder: core.GreedyResponder, MaxRounds: 1, Parallel: parallel,
+					Responder: core.GreedyResponder, MaxRounds: 1,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -368,11 +367,9 @@ func BenchmarkGreedyDynamicsRound(b *testing.B) {
 			old := core.DefaultCacheBudget
 			core.DefaultCacheBudget = 0
 			defer func() { core.DefaultCacheBudget = old }()
-			round(b, false)
+			round(b)
 		})
-		b.Run(fmt.Sprintf("Fast/n=%d", n), func(b *testing.B) {
-			round(b, true)
-		})
+		b.Run(fmt.Sprintf("Fast/n=%d", n), round)
 	}
 }
 

@@ -455,7 +455,8 @@ func (g *Game) swapOn(dv *Deviator, d *graph.Digraph) BestResponse {
 // Responder computes a (possibly heuristic) response for a player; the
 // dynamics engine is parameterised over this type. The built-in responders
 // are safe for concurrent invocation on distinct players against a fixed
-// graph, which is what dynamics.Options.Parallel relies on.
+// graph, which perfbench's converge check relies on: it re-verifies each
+// equilibrium by calling the plain responder from sweep.ParallelN.
 type Responder func(g *Game, d *graph.Digraph, u int) BestResponse
 
 // DeviatorResponder is the pooled form of a Responder: it evaluates on a

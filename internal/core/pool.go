@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -66,15 +67,12 @@ import (
 // set keeps budget/per players at full repair speed and leaves the rest
 // exactly as fast as the refill baseline.
 //
-// Concurrency contract: all pool methods are single-goroutine (the
-// dynamics engine's main loop), except that one Prefetch resync may run
-// concurrently with the current responder — the caller must wait on the
-// returned handle before its next pool call or graph mutation. Acquired
-// Deviators may be handed to concurrent workers — each is used by
-// exactly one goroutine — and the pool never touches an entry's matrices
-// between Acquire waves (only Close recycles them), so a worker can
-// never observe its matrix being repaired or recycled mid-response.
-// Stats counters are atomics, so Stats is safe to read at any time.
+// Concurrency contract: the pool is single-goroutine — every method
+// and every acquired Deviator belongs to the goroutine that drives it
+// (a dynamics engine's loop, or a serve session under its lock). The
+// one exception is monitoring: Stats and BytesUsed read atomics, so
+// serve's memory governor and /statsz may poll them from any goroutine
+// while the pool is in use.
 
 // DefaultPoolBudget caps the total bytes of distance matrices a
 // CachePool keeps alive: 1 GiB, i.e. every player of an n ≈ 500 game or
@@ -104,17 +102,16 @@ type PoolStats struct {
 	Resyncs      int64 // repairs that fell back to UnderlyingWithout + DiffUnd
 	Derives      int64 // whole matrices (new entries, past-threshold repairs) derived from an exact donor entry
 	MemoHits     int64 // best-response scans skipped by the round-level memo
-	Prefetches   int64 // speculative next-mover resyncs completed
 }
 
-// poolCounters is the atomic mirror of PoolStats (satellite of the
-// speculative-parallel path: the prefetch goroutine and any concurrent
-// Stats reader must not race the main loop's increments).
+// poolCounters is the atomic mirror of PoolStats: the pool's owning
+// goroutine is the only writer, but Stats may be read concurrently
+// from any goroutine (see the concurrency contract).
 type poolCounters struct {
 	acquires, hits, fills, repairs, unpooled atomic.Int64
 	rowsPatched, rowsRefilled, fullRefills   atomic.Int64
 	stampSkips, deltaRepairs, resyncs        atomic.Int64
-	derives, memoHits, prefetches            atomic.Int64
+	derives, memoHits                        atomic.Int64
 }
 
 // CachePool keeps per-player cached Deviators alive across the rounds of
@@ -211,6 +208,16 @@ func NewWeightedCachePool(g *Game, budgetBytes int64, wts *graph.Weights) *Cache
 	return p
 }
 
+// BuiltFor reports whether the pool's entries evaluate g's costs: the
+// pool was built for a game with g's players, version and budgets, and
+// over exactly the arc weights wts (nil for an unweighted pool).
+func (p *CachePool) BuiltFor(g *Game, wts *graph.Weights) bool {
+	if p.wts != wts {
+		return false
+	}
+	return p.game == g || p.game.Version == g.Version && slices.Equal(p.game.Budgets, g.Budgets)
+}
+
 // Invalidate marks the graph as changed — an accepted move, or a whole
 // graph swap in the profile-enumeration harnesses: every pooled entry
 // is stale and will be resynced on its next acquisition. Staleness is
@@ -238,8 +245,8 @@ func (p *CachePool) record(e *poolEntry, d *graph.Digraph) {
 // to d's current state: a pooled entry is repaired in place if stale, a
 // new entry is built if the budget still has room, and a plain uncached
 // Deviator is returned otherwise (always after Close). The caller must
-// Release the Deviator when done with it and must not use it across the
-// pool's next Acquire wave for the same player.
+// Release the Deviator when done with it and must not use it after the
+// pool's next Acquire for the same player.
 func (p *CachePool) Acquire(d *graph.Digraph, u int) *Deviator {
 	p.ctr.acquires.Add(1)
 	if p.closed {
@@ -474,31 +481,6 @@ func (p *CachePool) ResetResponseMemo() {
 	}
 }
 
-// Prefetch starts a speculative resync of player u's pooled entry
-// against d on a fresh goroutine, so the predicted next mover's repair
-// overlaps the current responder's scan. It returns a wait handle the
-// caller MUST invoke before its next pool call, Release of u's
-// Deviator, or any mutation of d — or nil when there is nothing to
-// prefetch (no pooled entry, entry already current, or pool closed).
-func (p *CachePool) Prefetch(d *graph.Digraph, u int) func() {
-	if p == nil || p.closed {
-		return nil
-	}
-	e, ok := p.entries[u]
-	if !ok || e.version == p.version {
-		return nil
-	}
-	version := p.version
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.resync(e, d)
-		e.version = version
-		p.ctr.prefetches.Add(1)
-	}()
-	return func() { <-done }
-}
-
 // Close recycles every pooled matrix into the global allocator and
 // marks the pool closed: further Invalidate/Acquire/Stats calls and a
 // second Close are defined no-ops that never touch the recycled
@@ -537,8 +519,8 @@ func (p *CachePool) BytesBudget() int64 {
 	return p.budget
 }
 
-// Stats returns the pool's lifetime counters. Safe to call at any time,
-// including after Close and concurrently with a running Prefetch.
+// Stats returns the pool's lifetime counters. Safe to call at any time
+// from any goroutine, including after Close.
 func (p *CachePool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
@@ -557,6 +539,5 @@ func (p *CachePool) Stats() PoolStats {
 		Resyncs:      p.ctr.resyncs.Load(),
 		Derives:      p.ctr.derives.Load(),
 		MemoHits:     p.ctr.memoHits.Load(),
-		Prefetches:   p.ctr.prefetches.Load(),
 	}
 }

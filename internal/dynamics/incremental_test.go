@@ -3,7 +3,6 @@ package dynamics
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -12,13 +11,12 @@ import (
 
 // runOracle runs engine on the reference oracle: no Cached responder
 // and core.DefaultCacheBudget 0, so every candidate costs one plain BFS
-// (Dijkstra under weights) on a sequential engine. Pooled runs must
-// reproduce it exactly.
+// (Dijkstra under weights). Pooled runs must reproduce it exactly.
 func runOracle(t testing.TB, engine func(*core.Game, *graph.Digraph, Options) (Result, error), g *core.Game, start *graph.Digraph, opts Options) Result {
 	t.Helper()
 	defer func(b int64) { core.DefaultCacheBudget = b }(core.DefaultCacheBudget)
 	core.DefaultCacheBudget = 0
-	opts.Cached, opts.Pool, opts.Parallel = nil, nil, false
+	opts.Cached, opts.Pool = nil, nil
 	res, err := engine(g, start, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +37,7 @@ var responderPairs = []struct {
 }
 
 // Incremental (pooled) dynamics — stamp skips, journal delta repair,
-// derivation, resync, round memo, prefetch — must reproduce the oracle
+// derivation, resync, round memo — must reproduce the oracle
 // exactly: same moves, same rounds, same final profile, for both
 // engines, both versions and every built-in responder pair.
 func TestIncrementalDynamicsMatchesRefill(t *testing.T) {
@@ -68,43 +66,42 @@ func mustRun(t testing.TB, engine func(*core.Game, *graph.Digraph, Options) (Res
 	return res
 }
 
-// The race test of the pooled speculative path: many parallel rounds
-// over a pool too small to hold every player, so acquisitions, repairs,
-// pins and evictions interleave with concurrent responder execution.
-// Under -race this proves round-scoped matrices are never recycled while
-// a worker still reads them (the Deviator.Release-into-pool fix); the
-// result must also match the sequential refill path exactly.
+// Pooled dynamics over a run-owned pool too small to hold every
+// player: the first players admitted keep repaired entries, the rest
+// take the over-budget plain-Deviator path, and the two interleave in
+// every round of both engines. Results must match the oracle exactly.
+// (The name is kept so the test's ID stays stable.)
 func TestIncrementalParallelRace(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-		runtime.GOMAXPROCS(4)
-	}
 	n := 16
 	g := core.UniformGame(n, 2, core.MAX)
 	start := RandomProfile(g, rand.New(rand.NewSource(11)))
-	// Room for only 5 of 16 matrices: constant eviction pressure.
+	// Room for only 5 of 16 matrices.
 	budget := 5 * 4 * int64(n) * int64(n+1)
 	inc := Options{
 		Responder: core.GreedyResponder, Cached: core.GreedyDeviatorResponder,
-		Parallel: true, PoolBudget: budget, MaxRounds: 60, DetectLoops: true,
+		PoolBudget: budget, MaxRounds: 60, DetectLoops: true,
 	}
-	got, err := Run(g, start, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(g, start, Options{Responder: core.GreedyResponder, MaxRounds: 60, DetectLoops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "Run(parallel,pooled)", got, want)
+	assertSameResult(t, "Run(pooled)", mustRun(t, Run, g, start, inc), runOracle(t, Run, g, start, inc))
+	assertSameResult(t, "RunSimultaneous(pooled)", mustRun(t, RunSimultaneous, g, start, inc), runOracle(t, RunSimultaneous, g, start, inc))
+}
 
-	gotSim, err := RunSimultaneous(g, start, inc)
-	if err != nil {
-		t.Fatal(err)
+// assertSameResult fails unless got and want agree on every observable
+// of a run: flags, counts, final graph and trajectory.
+func assertSameResult(t testing.TB, label string, got, want Result) {
+	t.Helper()
+	if got.Converged != want.Converged || got.Loop != want.Loop || got.LoopLength != want.LoopLength ||
+		got.Rounds != want.Rounds || got.Moves != want.Moves {
+		t.Fatalf("%s: got %+v, want %+v", label, got, want)
 	}
-	wantSim, err := RunSimultaneous(g, start, Options{Responder: core.GreedyResponder, MaxRounds: 60})
-	if err != nil {
-		t.Fatal(err)
+	if !got.Final.Equal(want.Final) {
+		t.Fatalf("%s: final graphs differ:\ngot  %v\nwant %v", label, got.Final, want.Final)
 	}
-	assertSameResult(t, "RunSimultaneous(parallel,pooled)", gotSim, wantSim)
+	if len(got.Trajectory) != len(want.Trajectory) {
+		t.Fatalf("%s: trajectory lengths differ: got %d, want %d", label, len(got.Trajectory), len(want.Trajectory))
+	}
+	for i := range got.Trajectory {
+		if got.Trajectory[i] != want.Trajectory[i] {
+			t.Fatalf("%s: trajectory[%d] = %d, want %d", label, i, got.Trajectory[i], want.Trajectory[i])
+		}
+	}
 }

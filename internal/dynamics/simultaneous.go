@@ -1,8 +1,6 @@
 package dynamics
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -20,75 +18,34 @@ import (
 // detection is always on (simultaneous runs that do not converge
 // almost always cycle).
 func RunSimultaneous(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
-	if err := g.CheckRealization(start); err != nil {
-		return Result{}, err
-	}
-	if opts.Responder == nil {
-		return Result{}, fmt.Errorf("dynamics: Options.Responder is required")
-	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 1000
 	}
-	d := start.Clone()
+	r, err := newRun(g, start, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	defer r.end()
+	d := r.d
 	n := g.N()
 	res := Result{}
-	pool, ownedPool := opts.newPool(g)
-	if ownedPool {
-		defer pool.Close()
-	} else {
-		// An external pool may have been repaired toward some other
-		// graph since its last use here; force the first acquisition of
-		// every entry to re-diff against this run's start (a no-op diff
-		// or stamp skip when nothing actually changed), and drop the
-		// response memo, which a different responder may have recorded.
-		pool.Invalidate()
-		pool.ResetResponseMemo()
-	}
-	startJournal(d, pool)
-	respond := respondWith(g, pool, opts)
 	seen := make(map[uint64][]seenProfile)
 	recordProfile(seen, core.ProfileOf(d), 0)
 	next := make([][]int, n)
-	var players []int
-	if opts.Parallel {
-		players = make([]int, n)
-		for u := range players {
-			players[u] = u
-		}
-	}
 	for round := 1; round <= opts.MaxRounds; round++ {
 		changed := false
-		if opts.Parallel {
-			// Every response is computed against the same fixed profile,
-			// so the simultaneous round is embarrassingly parallel.
-			var brs []core.BestResponse
-			if pool != nil {
-				brs = pooledResponsesAgainst(g, d, players, pool, opts.Cached)
-			} else {
-				brs = responsesAgainst(g, d, players, opts.Responder)
+		for u := 0; u < n; u++ {
+			next[u] = nil
+			if g.Budgets[u] == 0 {
+				continue
 			}
-			for u, br := range brs {
-				next[u] = nil
-				if g.Budgets[u] != 0 && br.Improves() {
-					next[u] = br.Strategy
-				}
-			}
-		} else {
-			for u := 0; u < n; u++ {
-				next[u] = nil
-				if g.Budgets[u] == 0 {
-					continue
-				}
-				br := respond(d, u, -1)
-				if br.Improves() {
-					next[u] = br.Strategy
-				}
+			if br := r.respond(u); br.Improves() {
+				next[u] = br.Strategy
 			}
 		}
 		for u, s := range next {
 			if s != nil {
-				d.SetOut(u, s)
-				pool.Invalidate()
+				r.move(u, s)
 				res.Moves++
 				changed = true
 			}
@@ -114,67 +71,33 @@ func RunSimultaneous(g *core.Game, start *graph.Digraph, opts Options) (Result, 
 }
 
 // WelfareTrace records the total player cost (the utilitarian welfare
-// measure, distinct from the paper's diameter social cost) after each
-// round of sequential dynamics. Its non-monotonicity is evidence that
-// the game admits no obvious exact potential — context for why Section 8
-// leaves convergence open.
+// measure, distinct from the paper's diameter social cost; weighted
+// when Options.Weights is set) after each round of sequential dynamics.
+// Its non-monotonicity is evidence that the game admits no obvious
+// exact potential — context for why Section 8 leaves convergence open.
 func WelfareTrace(g *core.Game, start *graph.Digraph, opts Options) ([]int64, Result, error) {
-	if err := g.CheckRealization(start); err != nil {
-		return nil, Result{}, err
-	}
-	if opts.Responder == nil {
-		return nil, Result{}, fmt.Errorf("dynamics: Options.Responder is required")
-	}
 	if opts.Scheduler == nil {
 		opts.Scheduler = RoundRobin{}
 	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 200
 	}
-	d := start.Clone()
-	n := g.N()
-	order := make([]int, n)
-	pool, ownedPool := opts.newPool(g)
-	if ownedPool {
-		defer pool.Close()
-	} else {
-		// An external pool may have been repaired toward some other
-		// graph since its last use here; force the first acquisition of
-		// every entry to re-diff against this run's start (a no-op diff
-		// or stamp skip when nothing actually changed), and drop the
-		// response memo, which a different responder may have recorded.
-		pool.Invalidate()
-		pool.ResetResponseMemo()
+	r, err := newRun(g, start, opts)
+	if err != nil {
+		return nil, Result{}, err
 	}
-	startJournal(d, pool)
-	respond := respondWith(g, pool, opts)
-	welfare := func() int64 {
-		var total int64
-		for _, c := range g.AllCosts(d) {
-			total += c
-		}
-		return total
-	}
-	trace := []int64{welfare()}
+	defer r.end()
+	d := r.d
+	order := make([]int, g.N())
+	trace := []int64{opts.welfare(g, d)}
 	res := Result{}
 	for round := 1; round <= opts.MaxRounds; round++ {
 		opts.Scheduler.Order(order, round)
-		changed := false
-		for _, u := range order {
-			if g.Budgets[u] == 0 {
-				continue
-			}
-			br := respond(d, u, -1)
-			if br.Improves() {
-				d.SetOut(u, br.Strategy)
-				pool.Invalidate()
-				res.Moves++
-				changed = true
-			}
-		}
+		moves := r.sequentialRound(order)
+		res.Moves += moves
 		res.Rounds = round
-		trace = append(trace, welfare())
-		if !changed {
+		trace = append(trace, opts.welfare(g, d))
+		if moves == 0 {
 			res.Converged = true
 			break
 		}

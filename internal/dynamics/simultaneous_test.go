@@ -113,6 +113,41 @@ func TestWelfareTrace(t *testing.T) {
 	}
 }
 
+// A weighted WelfareTrace records the weighted total cost — the
+// welfare the weighted dynamics actually optimise — pooled or not.
+func TestWelfareTraceWeighted(t *testing.T) {
+	const n = 20
+	g := core.UniformGame(n, 2, core.SUM)
+	wts := graph.NewWeights(n, 11, 7)
+	start := RandomProfile(g, rand.New(rand.NewSource(3)))
+	total := func(d *graph.Digraph) int64 {
+		var sum int64
+		for _, c := range g.WeightedAllCosts(d, wts) {
+			sum += c
+		}
+		return sum
+	}
+	for _, cached := range []core.DeviatorResponder{nil, core.GreedyDeviatorResponder} {
+		trace, res, err := WelfareTrace(g, start, Options{
+			Responder: core.WeightedGreedyResponder(wts),
+			Cached:    cached,
+			Weights:   wts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || len(trace) != res.Rounds+1 {
+			t.Fatalf("pooled=%v: %d trace entries for %+v", cached != nil, len(trace), res)
+		}
+		if trace[0] != total(start) {
+			t.Fatalf("pooled=%v: trace starts at %d, want the weighted total %d", cached != nil, trace[0], total(start))
+		}
+		if last, want := trace[len(trace)-1], total(res.Final); last != want {
+			t.Fatalf("pooled=%v: trace ends at %d, want the weighted total %d", cached != nil, last, want)
+		}
+	}
+}
+
 func TestWelfareTraceValidation(t *testing.T) {
 	d := graph.PathGraph(4)
 	g := core.GameOf(d, core.SUM)

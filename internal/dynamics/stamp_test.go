@@ -3,35 +3,39 @@ package dynamics
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 )
 
 // Stamped dynamics must reproduce the oracle exactly — same moves, same
-// rounds, same final profile — across engines, versions, responder
-// pairs and the parallel speculative path, also when the stamps cannot
-// vouch for an entry. Both engines share one external pool, so the
-// second engine starts on entries synced to the first run's final graph:
-// a different instance with a different content anchor, which neither a
-// stamp nor the journal covers, so each one takes the Resync (diff) rung.
+// rounds, same final profile — across engines, versions and responder
+// pairs, also when the stamps cannot vouch for an entry. Both engines
+// share one external pool, so the second engine starts on entries
+// synced to the first run's final graph: a different instance with a
+// different content anchor, which neither a stamp nor the journal
+// covers, so each one takes the Resync (diff) rung. In the par=true
+// subtests a second goroutine polls the pool's Stats and BytesUsed for
+// the whole subtest — the one concurrent access the pool's contract
+// allows (serve's memory governor does the same) — which -race checks.
 func TestStampedDynamicsMatchesDiffAlways(t *testing.T) {
 	for _, ver := range []core.Version{core.SUM, core.MAX} {
 		for _, p := range responderPairs {
-			for _, parallel := range []bool{false, true} {
+			for _, par := range []bool{false, true} {
 				for seed := int64(0); seed < 2; seed++ {
-					name := fmt.Sprintf("%v/%s/par=%v/seed=%d", ver, p.name, parallel, seed)
+					name := fmt.Sprintf("%v/%s/par=%v/seed=%d", ver, p.name, par, seed)
 					t.Run(name, func(t *testing.T) {
-						if parallel {
-							forceWorkers(t)
-						}
 						g := core.UniformGame(10, 1, ver)
 						start := RandomProfile(g, rand.New(rand.NewSource(seed)))
 						pool := core.NewCachePool(g, 0)
 						defer pool.Close()
+						if par {
+							defer pollStats(pool)()
+						}
 						opts := Options{
 							Responder: p.plain, Cached: p.cached, Pool: pool,
-							DetectLoops: true, MaxRounds: 200, Parallel: parallel,
+							DetectLoops: true, MaxRounds: 200,
 						}
 						want := runOracle(t, Run, g, start, opts)
 						wantSim := runOracle(t, RunSimultaneous, g, start, opts)
@@ -95,13 +99,12 @@ func TestSettledRoundZeroResyncs(t *testing.T) {
 	}
 }
 
-// The -race test of Options.Parallel + Options.Cached together
-// (atomic-stats satellite): speculative waves, prefetch goroutines and
-// concurrent Stats reads all interleave over one external pool shared
-// by consecutive runs, with a budget too small to pool every player.
-// Results must still match the plain sequential path exactly.
+// One external pool, too small to pool every player, shared by
+// consecutive runs while a second goroutine polls its Stats and
+// BytesUsed. Under -race this pins the pool's concurrency contract: the
+// counters and the byte gauge are the only state read off the owning
+// goroutine. Results must match the oracle exactly.
 func TestStampedParallelCachedRace(t *testing.T) {
-	forceWorkers(t)
 	n := 16
 	g := core.UniformGame(n, 2, core.MAX)
 	// Room for only 5 of 16 matrices: pooled and unpooled players mix.
@@ -112,27 +115,40 @@ func TestStampedParallelCachedRace(t *testing.T) {
 		start := RandomProfile(g, rng)
 		inc := Options{
 			Responder: core.GreedyResponder, Cached: core.GreedyDeviatorResponder,
-			Parallel: true, Pool: pool, MaxRounds: 60, DetectLoops: true,
+			Pool: pool, MaxRounds: 60, DetectLoops: true,
 		}
-		done := make(chan struct{})
-		go func() { // concurrent Stats reader: legal at any time
-			defer close(done)
-			for i := 0; i < 100; i++ {
-				_ = pool.Stats()
-			}
-		}()
+		stop := pollStats(pool)
 		got, err := Run(g, start, inc)
-		<-done
+		stop()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(g, start, Options{Responder: core.GreedyResponder, MaxRounds: 60, DetectLoops: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, fmt.Sprintf("trial %d", trial), got, want)
+		assertSameResult(t, fmt.Sprintf("trial %d", trial), got, runOracle(t, Run, g, start, inc))
 	}
 	if st := pool.Stats(); st.Acquires == 0 || st.Hits == 0 {
 		t.Fatalf("pool unused: %+v", pool.Stats())
+	}
+}
+
+// pollStats reads pool's Stats and BytesUsed on a second goroutine
+// until the returned stop is called; stop waits for the reader to exit.
+func pollStats(pool *core.CachePool) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				_ = pool.Stats()
+				_ = pool.BytesUsed()
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }

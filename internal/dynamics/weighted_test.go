@@ -9,11 +9,10 @@ import (
 )
 
 // A weighted run must match the oracle (per-candidate Dijkstra, no
-// pool) on plain and pooled responders, sequential and parallel: the
-// weighted cache tier, the Δ-stepping fill, the pool ladder and the SUM
-// kernel select implementations, never trajectories.
+// pool) on plain and pooled responders: the weighted cache tier, the
+// Δ-stepping fill, the pool ladder and the SUM kernel select
+// implementations, never trajectories.
 func TestRunWeightedKnobMatrix(t *testing.T) {
-	forceWorkers(t)
 	g := core.UniformGame(20, 2, core.SUM)
 	wts := graph.NewWeights(20, 11, 7)
 	start := RandomProfile(g, rand.New(rand.NewSource(3)))
@@ -28,16 +27,14 @@ func TestRunWeightedKnobMatrix(t *testing.T) {
 		t.Fatalf("weighted dynamics did not converge: %+v", ref)
 	}
 	for _, c := range []struct {
-		label    string
-		cached   core.DeviatorResponder
-		parallel bool
+		label  string
+		cached core.DeviatorResponder
 	}{
-		{"plain responder", nil, false},
-		{"pooled", core.GreedyDeviatorResponder, false},
-		{"pooled parallel", core.GreedyDeviatorResponder, true},
+		{"plain responder", nil},
+		{"pooled", core.GreedyDeviatorResponder},
 	} {
 		o := opts
-		o.Cached, o.Parallel = c.cached, c.parallel
+		o.Cached = c.cached
 		res, err := Run(g, start, o)
 		if err != nil {
 			t.Fatal(err)
@@ -123,4 +120,56 @@ func TestRunWeightedExternalPoolAndSimultaneous(t *testing.T) {
 			t.Fatalf("trajectory %v does not end at the weighted social cost of the final profile", res.Trajectory)
 		}
 	}
+}
+
+// An external pool must have been built for the run's game over the
+// run's weights: a pool whose entries evaluate other costs steers the
+// dynamics silently off the oracle's course, and one sized for another
+// n indexes out of range. Every engine refuses such a pool up front.
+func TestRunRejectsMismatchedExternalPool(t *testing.T) {
+	const n = 20
+	g := core.UniformGame(n, 2, core.SUM)
+	wts := graph.NewWeights(n, 11, 7)
+	start := RandomProfile(g, rand.New(rand.NewSource(3)))
+	opts := Options{
+		Responder: core.WeightedGreedyResponder(wts),
+		Cached:    core.GreedyDeviatorResponder,
+		Weights:   wts,
+		MaxRounds: 40,
+	}
+	for _, c := range []struct {
+		label string
+		pool  *core.CachePool
+		wts   *graph.Weights
+	}{
+		{"unweighted pool, weighted run", core.NewCachePool(g, 0), wts},
+		{"other weights", core.NewWeightedCachePool(g, 0, graph.NewWeights(n, 12, 7)), wts},
+		{"weighted pool, unweighted run", core.NewWeightedCachePool(g, 0, wts), nil},
+		{"other version", core.NewWeightedCachePool(core.UniformGame(n, 2, core.MAX), 0, wts), wts},
+		{"other budgets", core.NewWeightedCachePool(core.UniformGame(n, 1, core.SUM), 0, wts), wts},
+		{"other n", core.NewWeightedCachePool(core.UniformGame(n+1, 2, core.SUM), 0, wts), wts},
+	} {
+		o := opts
+		o.Pool, o.Weights = c.pool, c.wts
+		if c.wts == nil {
+			o.Responder = core.GreedyResponder
+		}
+		if _, err := Run(g, start, o); err == nil {
+			t.Errorf("%s: Run accepted the pool", c.label)
+		}
+		if _, err := RunSimultaneous(g, start, o); err == nil {
+			t.Errorf("%s: RunSimultaneous accepted the pool", c.label)
+		}
+		if _, _, err := WelfareTrace(g, start, o); err == nil {
+			t.Errorf("%s: WelfareTrace accepted the pool", c.label)
+		}
+		c.pool.Close()
+	}
+	// A pool built over an equal game (not the same *Game) and the same
+	// weights is accepted and follows the oracle.
+	pool := core.NewWeightedCachePool(core.UniformGame(n, 2, core.SUM), 0, wts)
+	defer pool.Close()
+	o := opts
+	o.Pool = pool
+	assertSameResult(t, "matching external pool", mustRun(t, Run, g, start, o), runOracle(t, Run, g, start, opts))
 }

@@ -28,10 +28,9 @@ type DynamicsOptions struct {
 	DetectLoops bool `json:"detectLoops,omitempty"`
 	// RecordTrajectory stores the social cost after every round.
 	RecordTrajectory bool `json:"recordTrajectory,omitempty"`
-	// Parallel fans responders out over the worker pool.
-	Parallel bool `json:"parallel,omitempty"`
 	// Pool supplies an external warm-cache pool surviving across runs;
-	// the caller owns its lifetime.
+	// the caller owns its lifetime. A pool built for another game or
+	// other Weights is rejected.
 	Pool *CachePool `json:"-"`
 	// Weights makes the run arc-weighted: responders optimise weighted
 	// costs, trajectories record the weighted social cost, and a run-owned
@@ -61,7 +60,6 @@ func (o DynamicsOptions) engineOptions(g *Game) (dynamics.Options, error) {
 		MaxRounds:        o.MaxRounds,
 		DetectLoops:      o.DetectLoops,
 		RecordTrajectory: o.RecordTrajectory,
-		Parallel:         o.Parallel,
 		Pool:             o.Pool,
 		Weights:          o.Weights,
 	}
