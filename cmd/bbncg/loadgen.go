@@ -2,7 +2,8 @@
 // workload at a running `bbncg serve` instance through the typed
 // client (pkg/bbncg/client) and reports throughput, per-class latency
 // quantiles and a latency histogram against the pool's warm-cache
-// counters (StampSkips / DeltaRepairs / Resyncs / Derives / MemoHits).
+// counters (StampSkips / DeltaRepairs / Resyncs / Fills / RowsRefilled /
+// MemoHits).
 //
 // The run is three phases over -sessions concurrent sessions:
 //
@@ -15,9 +16,9 @@
 //     pool counters snapshotted around them.
 //
 // -check turns the report into a gate: zero failed requests, zero
-// additional resyncs, delta-repairs AND derives on settled sessions
-// (the warm path must serve the hammer phase entirely from stamps and
-// memos),
+// additional resyncs, delta-repairs, fills AND refilled rows on settled
+// sessions (no row work: the warm path must serve the hammer phase
+// entirely from stamps and memos),
 // a streamed-vs-plain twin run with byte-identical traces, and an
 // optional -p99ms ceiling. Gate failures exit 1.
 package main
@@ -100,7 +101,8 @@ type poolCounters struct {
 	StampSkips   int64 `json:"stampSkips"`
 	DeltaRepairs int64 `json:"deltaRepairs"`
 	Resyncs      int64 `json:"resyncs"`
-	Derives      int64 `json:"derives"`
+	Fills        int64 `json:"fills"`
+	RowsRefilled int64 `json:"rowsRefilled"`
 	MemoHits     int64 `json:"memoHits"`
 }
 
@@ -113,7 +115,8 @@ func sumPool(ss []api.SessionStats, ids map[string]bool) poolCounters {
 		pc.StampSkips += st.Pool.StampSkips
 		pc.DeltaRepairs += st.Pool.DeltaRepairs
 		pc.Resyncs += st.Pool.Resyncs
-		pc.Derives += st.Pool.Derives
+		pc.Fills += st.Pool.Fills
+		pc.RowsRefilled += st.Pool.RowsRefilled
 		pc.MemoHits += st.Pool.MemoHits
 	}
 	return pc
@@ -124,7 +127,8 @@ func (a poolCounters) sub(b poolCounters) poolCounters {
 		StampSkips:   a.StampSkips - b.StampSkips,
 		DeltaRepairs: a.DeltaRepairs - b.DeltaRepairs,
 		Resyncs:      a.Resyncs - b.Resyncs,
-		Derives:      a.Derives - b.Derives,
+		Fills:        a.Fills - b.Fills,
+		RowsRefilled: a.RowsRefilled - b.RowsRefilled,
 		MemoHits:     a.MemoHits - b.MemoHits,
 	}
 }
@@ -485,10 +489,10 @@ func (rep *report) printSummary(w *os.File) {
 		fmt.Fprintf(w, "loadgen:   %-13s %6d ops  p50 %7.2fms  p90 %7.2fms  p99 %7.2fms\n",
 			class, cs.Count, cs.P50, cs.P90, cs.P99)
 	}
-	fmt.Fprintf(w, "loadgen: traffic counters: +%d stampSkips +%d deltaRepairs +%d resyncs +%d derives +%d memoHits\n",
-		rep.Traffic.StampSkips, rep.Traffic.DeltaRepairs, rep.Traffic.Resyncs, rep.Traffic.Derives, rep.Traffic.MemoHits)
-	fmt.Fprintf(w, "loadgen: settled hammer:   +%d stampSkips +%d deltaRepairs +%d resyncs +%d derives +%d memoHits\n",
-		rep.Hammer.StampSkips, rep.Hammer.DeltaRepairs, rep.Hammer.Resyncs, rep.Hammer.Derives, rep.Hammer.MemoHits)
+	fmt.Fprintf(w, "loadgen: traffic counters: +%d stampSkips +%d deltaRepairs +%d resyncs +%d fills +%d rowsRefilled +%d memoHits\n",
+		rep.Traffic.StampSkips, rep.Traffic.DeltaRepairs, rep.Traffic.Resyncs, rep.Traffic.Fills, rep.Traffic.RowsRefilled, rep.Traffic.MemoHits)
+	fmt.Fprintf(w, "loadgen: settled hammer:   +%d stampSkips +%d deltaRepairs +%d resyncs +%d fills +%d rowsRefilled +%d memoHits\n",
+		rep.Hammer.StampSkips, rep.Hammer.DeltaRepairs, rep.Hammer.Resyncs, rep.Hammer.Fills, rep.Hammer.RowsRefilled, rep.Hammer.MemoHits)
 }
 
 // gate enforces the -check assertions.
@@ -500,9 +504,9 @@ func (rep *report) gate(p99Ceiling float64, rec *recorder) error {
 		rec.mu.Unlock()
 		errs = append(errs, fmt.Errorf("%d failed request(s), first: %s", rep.Failed, first))
 	}
-	if rep.Hammer.Resyncs != 0 || rep.Hammer.DeltaRepairs != 0 || rep.Hammer.Derives != 0 {
-		errs = append(errs, fmt.Errorf("settled sessions left the warm path: +%d resyncs +%d deltaRepairs +%d derives during the hammer phase",
-			rep.Hammer.Resyncs, rep.Hammer.DeltaRepairs, rep.Hammer.Derives))
+	if h := rep.Hammer; h.Resyncs != 0 || h.DeltaRepairs != 0 || h.Fills != 0 || h.RowsRefilled != 0 {
+		errs = append(errs, fmt.Errorf("settled sessions left the warm path: +%d resyncs +%d deltaRepairs +%d fills +%d rowsRefilled during the hammer phase",
+			h.Resyncs, h.DeltaRepairs, h.Fills, h.RowsRefilled))
 	}
 	if rep.Hammer.MemoHits == 0 {
 		errs = append(errs, errors.New("settled hammer phase recorded no memo hits (queries not riding the round memo)"))

@@ -53,7 +53,7 @@ func TestLoadgenSmoke(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("%d failed requests", rep.Failed)
 	}
-	if rep.Hammer.Resyncs != 0 || rep.Hammer.DeltaRepairs != 0 || rep.Hammer.Derives != 0 {
+	if h := rep.Hammer; h.Resyncs != 0 || h.DeltaRepairs != 0 || h.Fills != 0 || h.RowsRefilled != 0 {
 		t.Fatalf("settled sessions left the warm path: %+v", rep.Hammer)
 	}
 	if rep.Hammer.MemoHits == 0 {

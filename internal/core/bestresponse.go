@@ -108,11 +108,12 @@ func (g *Game) greedyOn(dv *Deviator, d *graph.Digraph) BestResponse {
 // eccResult converts the farthest covered anchor distance k and the
 // covered count — from a level union or from graph.MaxMerge — into the
 // BFS aggregates the MAX cost consumes: anchor distances are one hop
-// from the source, and a source that covers nothing is isolated
-// (eccentricity 0, itself reached).
+// from the source, the count includes the source (vec[u] = -1, or the
+// union seeded with u), and a source that covers only itself is
+// isolated (eccentricity 0).
 func eccResult(k int32, covered int) graph.BFSResult {
-	r := graph.BFSResult{Ecc: k + 1, Reached: covered + 1}
-	if covered == 0 {
+	r := graph.BFSResult{Ecc: k + 1, Reached: covered}
+	if covered <= 1 {
 		r.Ecc = 0
 	}
 	return r
@@ -137,7 +138,8 @@ func greedyLevels(dv *Deviator, b int, res *BestResponse) []int {
 				continue
 			}
 			res.Explored++
-			k, cov := lu.AggregateWith(dv.lc, v)
+			lc, src := dv.levelsOf(v)
+			k, cov := lu.AggregateWith(lc, src)
 			if c := dv.costOf(eccResult(k, cov), reach.with(v)); c < bestC {
 				bestC = c
 				bestV = v
@@ -151,7 +153,7 @@ func greedyLevels(dv *Deviator, b int, res *BestResponse) []int {
 		chosen = append(chosen, bestV)
 		inChosen[bestV] = true
 		reach.mark(bestV)
-		lu.Merge(dv.lc, bestV)
+		lu.Merge(dv.levelsOf(bestV))
 	}
 	return chosen
 }
@@ -171,8 +173,8 @@ func greedyCached(dv *Deviator, b int, cur []int, res *BestResponse) []int {
 	var memo *sumMemo
 	if prune {
 		// Pool-owned Deviators persist across movers and rounds, so their
-		// candidate costs are worth remembering: Repair keeps the memo
-		// exact (see sumkernel.go), and a settled scan is then mostly
+		// candidate costs are worth remembering: each pool sync keeps the
+		// memo exact (see sumkernel.go), and a settled scan is then mostly
 		// memo reads.
 		if dv.memo == nil || len(dv.memo.rounds) != b {
 			dv.memo = newSumMemo(b, n)
@@ -350,7 +352,7 @@ func (g *Game) swapOn(dv *Deviator, d *graph.Digraph) BestResponse {
 			}
 			for j, v := range cur {
 				if j != i {
-					lu.Merge(dv.lc, v)
+					lu.Merge(dv.levelsOf(v))
 					reach.mark(v)
 				}
 			}
@@ -360,7 +362,8 @@ func (g *Game) swapOn(dv *Deviator, d *graph.Digraph) BestResponse {
 				}
 				trial[i] = w
 				res.Explored++
-				k, cov := lu.AggregateWith(dv.lc, w)
+				lc, src := dv.levelsOf(w)
+				k, cov := lu.AggregateWith(lc, src)
 				if c := dv.costOf(eccResult(k, cov), reach.with(w)); c < res.Cost {
 					res.Cost = c
 					res.Strategy = append([]int(nil), trial...)
@@ -461,7 +464,7 @@ type Responder func(g *Game, d *graph.Digraph, u int) BestResponse
 
 // DeviatorResponder is the pooled form of a Responder: it evaluates on a
 // Deviator prepared by the caller — in the dynamics engines, a
-// CachePool-owned Deviator whose distance cache survives (repaired, not
+// CachePool-owned Deviator whose distance cache survives (synced, not
 // refilled) across movers and rounds. A DeviatorResponder must compute
 // exactly the response its plain counterpart computes; every built-in
 // pair here does, which the equivalence suites pin.

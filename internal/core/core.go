@@ -17,7 +17,10 @@
 // min-merge over cached rows instead of a BFS, and the greedy, swap and
 // exact responders get incremental forms. The cache respects
 // DefaultCacheBudget (4·n·(n+1) bytes needed) and falls back to exact
-// BFS evaluation beyond it, so memory stays bounded on large sweeps.
+// BFS evaluation beyond it, so memory stays bounded on large sweeps. A
+// CachePool (pool.go) instead shares one matrix of the whole graph
+// across its players and keeps per player only the rows that player's
+// deletion damages.
 // Deviators are single-goroutine; parallel responders clone them per
 // worker around the shared immutable cache.
 package core

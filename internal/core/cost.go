@@ -92,56 +92,60 @@ func componentCount(a graph.Und) int {
 type Deviator struct {
 	game  *Game
 	u     int
-	base  graph.Und // adjacency with u's owned arcs removed
+	base  graph.Und // adjacency with u's owned arcs removed; nil on pool entries, which never take the BFS/Dijkstra paths
 	in    []int     // owners of arcs into u (edges u keeps regardless)
 	label []int     // component labels of G - u
 	comps int       // component count of G - u
 	seen  []bool    // scratch for CountComponentsTouched
 	s     *graph.Scratch
 
-	// Distance cache (nil until EnsureCache succeeds; see distcache.go).
-	rows  []int32 // flat n×n: rows[v*n+w] = dist_{G-u}(v, w), InfDist if unreachable
-	inMin []int32 // per-vertex min over the rows of in(u) (InfDist when in(u) is empty)
+	// Distance cache (inMin is nil until EnsureCache succeeds or a pool
+	// adopts the Deviator; see distcache.go). Kernels read anchor v's row
+	// of dist_{G-u} only through row(v). A plain Deviator holds the whole
+	// matrix in rows (rows[v*n+w], InfDist if unreachable). A pool entry
+	// holds in rows only the rows u's deletion damages, priv[v] indexing
+	// them (-1: v's row is the pool's shared dist_G row, which equals
+	// dist_{G-u} everywhere but column u).
+	rows   []int32
+	priv   []int32
+	shared []int32
+	inMin  []int32 // per-vertex min over the in(u) rows; inMin[u] = -1, so every merge reads column u as distance 0
 
-	// Bitset level cache for the MAX eccentricity kernel (nil until
-	// ensureLevels; shadows rows exactly, patched row-wise on Repair).
+	// Bitset level sets for the MAX eccentricity kernel (pool entries
+	// only; see ensureLevels): lc holds the private rows' level sets,
+	// indexed like rows — the shared rows' live in the pool — and inLv
+	// the union of the in(u) anchors' level sets, seeded with u.
 	lc   *graph.LevelCache
-	inLv *graph.LevelUnion // union of the in(u) anchors' level sets
+	inLv *graph.LevelUnion
 
-	// Incremental-repair state (see Repair and pool.go). pool is non-nil
-	// while the Deviator's matrices are owned by a CachePool, in which
-	// case Release leaves them to the pool instead of recycling them
-	// globally. stable counts consecutive acquisitions whose rows
-	// survived (un- or cheaply repaired); full refills zero it — the
-	// hysteresis that keeps level sets from churning in heavy-move
-	// phases.
-	ds     *graph.DeltaScratch
+	// Pool state (see pool.go). pool is non-nil while the Deviator is a
+	// CachePool entry, in which case Release leaves its buffers to the
+	// pool. stable counts consecutive acquisitions that staled at most
+	// a quarter of the rows; a heavier sync zeroes it — the hysteresis
+	// that keeps level sets and the SUM memo from churning in heavy-move
+	// phases. dver is the pool's shared-matrix version the entry was last
+	// synced to.
 	pool   *CachePool
 	stable int8
+	dver   int64
 
 	// Weighted cache mode (see wcache.go; nil wts = unweighted). Rows
-	// hold offset-adjusted weighted distances (graph/weighted.go):
-	// woff[v] = w(u,v) - 1, wgen the weights generation the rows are
+	// hold raw weighted distances; the kernels add woff[v] = w(u,v) - 1
+	// as row v enters a merge. wgen is the weights generation woff is
 	// synced to, cinf the disconnection penalty (n²·maxW; n² when
 	// unweighted, so unit weights reduce exactly to the BFS engine).
 	wts  *graph.Weights
 	woff []int32
 	wgen int64
-	wds  *graph.WDeltaScratch
 	wes  *graph.WEvalScratch
 	cinf int64
 
-	// SUM evaluation kernel state (see sumkernel.go). colMin is an
-	// entrywise lower bound of every cached row (exact after
-	// fill/refill, folded — and possibly slack — after row repairs);
-	// sumSufT holds the per-scan tiered suffix-bound scratch and
-	// sumSufIn the memoised inMin-only bound for EvalBounded (valid
-	// while sumSufInOK).
-	colMin     []int32
-	sumSufT    [][]int64
-	sumSufIn   []int64
-	sumSufInOK bool
-	memo       *sumMemo // pooled greedy candidate-cost memo (SUM only)
+	// SUM evaluation kernel state (see sumkernel.go). sumSufT holds the
+	// per-scan tiered suffix-bound scratch and sumSufIn the inMin-only
+	// bound for EvalBounded.
+	sumSufT  [][]int64
+	sumSufIn []int64
+	memo     *sumMemo // pooled greedy candidate-cost memo (SUM only)
 }
 
 // U returns the player this Deviator evaluates deviations for.
@@ -171,12 +175,18 @@ func NewDeviator(g *Game, d *graph.Digraph, u int) *Deviator {
 // is bit-identical to NewDeviator's.
 func NewWeightedDeviator(g *Game, d *graph.Digraph, u int, wts *graph.Weights) *Deviator {
 	dv := NewDeviator(g, d, u)
+	dv.weigh(wts)
+	return dv
+}
+
+// weigh switches dv to evaluation under wts (nil: unweighted).
+func (dv *Deviator) weigh(wts *graph.Weights) {
 	if wts != nil {
+		n := int64(dv.game.N())
 		dv.wts = wts
 		dv.wgen = wts.Gen()
-		dv.cinf = int64(g.N()) * int64(g.N()) * int64(wts.MaxW())
+		dv.cinf = n * n * int64(wts.MaxW())
 	}
-	return dv
 }
 
 // Eval returns the cost player u would incur by playing strategy s
@@ -185,7 +195,7 @@ func NewWeightedDeviator(g *Game, d *graph.Digraph, u int, wts *graph.Weights) *
 // min-merge over cached rows; otherwise one BFS. The two paths return
 // bit-identical costs.
 func (dv *Deviator) Eval(strategy []int) int64 {
-	if dv.rows != nil {
+	if dv.HasCache() {
 		return dv.evalCached(strategy)
 	}
 	if dv.wts != nil {

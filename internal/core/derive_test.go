@@ -8,38 +8,41 @@ import (
 	"repro/internal/graph"
 )
 
-// The derive rung against the fill it replaces: on every generator
-// family, both versions and weights maxW ∈ {1 (unweighted tier), 4,
-// 16}, a pool over a journaled graph that derives player y's matrix
-// from an exact donor x must stay bit-identical to a reference pool
-// over a journal-less twin of the graph (see mirror) — no donor is
-// exact there after a generation bump, so the reference fills and
-// resyncs where the journaled pool derives — through the derivation and
-// the acquisitions after it: rows, inMin, colMin, SUM memo, level sets,
-// stability streak and best responses. The cases put y next to x, brace
-// x and y, leave x owning no arcs (reachable through in-arcs only), and
+// The private-row rungs against the fill they replace: on every
+// generator family, both versions and weights maxW ∈ {1 (unweighted
+// tier), 4, 16}, a pool over a journaled graph — whose shared matrix
+// takes the journal's delta and whose entries keep intact private rows
+// across their own moves — must stay bit-identical to a reference pool
+// over a journal-less twin of the graph (see mirror), whose shared
+// matrix is filled whole and whose entries refill every damaged row at
+// every step, through each acquisition: the rows the kernels read,
+// inMin, the private row set, SUM memo, level sets, stability streak,
+// offsets, component labels and best responses; and both must read the
+// rows of a fresh plain Deviator. The cases put y next to x, brace x
+// and y, leave x owning no arcs (reachable through in-arcs only), and
 // make y a top-degree vertex, whose deletion disconnects the path, star
-// and tree families.
+// and tree families. The test keeps the name of the derive rung these
+// rungs replaced.
 func TestPropertyDeriveMatchesFill(t *testing.T) {
 	defer func(f float64) { graph.RepairRefillFraction = f }(graph.RepairRefillFraction)
 	rng := rand.New(rand.NewSource(9003))
 	for _, frac := range []float64{0.25, 1} {
 		graph.RepairRefillFraction = frac
-		var derives, refResyncs int64
+		var refilled, refResyncs int64
 		for _, inst := range generatorCorpus(rng) {
 			for _, version := range []Version{SUM, MAX} {
 				for _, maxW := range []int32{1, 4, 16} {
 					for c := 0; c < 4; c++ {
 						st, ref := deriveCase(t, inst.name, inst.d, version, maxW, c, rng)
-						derives += st.Derives
+						refilled += st.RowsRefilled
 						refResyncs += ref.Resyncs
 					}
 				}
 			}
 		}
-		t.Logf("RepairRefillFraction %.2f: %d derivations, reference %d resyncs", frac, derives, refResyncs)
-		if frac == 1 && derives == 0 {
-			t.Fatal("the derive rung never ran")
+		t.Logf("RepairRefillFraction %.2f: %d rows refilled, reference %d resyncs", frac, refilled, refResyncs)
+		if refilled == 0 {
+			t.Fatal("no entry ever refilled a private row")
 		}
 		if refResyncs == 0 {
 			t.Fatal("the reference pool never resynced")
@@ -49,10 +52,11 @@ func TestPropertyDeriveMatchesFill(t *testing.T) {
 
 // mirror replays src's out-sets onto dst, a journal-less twin, and then
 // advances dst's generation even when nothing moved, by setting vertex
-// 0's out-set to a different set and back. Every stale entry of a pool
-// over dst then fails the generation check and, with no journal to
-// consult, takes the Resync rung (Deviator.Repair) — the forced diff the
-// stamp skip and the journal delta are compared against.
+// 0's out-set to a different set and back. A pool over dst then finds
+// its shared matrix stale with no journal to consult, fills it whole,
+// and every stale entry re-runs its damage test and refills all its
+// private rows — the forced work the stamp skip, the journal delta and
+// intact private rows are compared against.
 func mirror(dst, src *graph.Digraph) {
 	for v := 0; v < src.N(); v++ {
 		dst.SetOut(v, src.Out(v))
@@ -66,8 +70,8 @@ func mirror(dst, src *graph.Digraph) {
 	dst.SetOut(0, out)
 }
 
-// deriveCase runs one derive scenario (see TestPropertyDeriveMatchesFill)
-// and returns the journaled and the reference pool's counters.
+// deriveCase runs one scenario of TestPropertyDeriveMatchesFill and
+// returns the journaled and the reference pool's counters.
 func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version, maxW int32, c int, rng *rand.Rand) (st, ref PoolStats) {
 	t.Helper()
 	d := start.Clone()
@@ -113,6 +117,13 @@ func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version
 		refPool.Invalidate()
 		ds, dd := pool.Acquire(d, u), refPool.Acquire(twin, u)
 		sameDeviatorState(t, name, version, maxW, u, step, ds, dd)
+		samePoolState(t, name, pool, refPool)
+		fresh := NewWeightedDeviator(g, d, u, wts)
+		fresh.EnsureCache(1 << 40)
+		if !reflect.DeepEqual(viewRows(ds), viewRows(fresh)) || !reflect.DeepEqual(ds.inMin, fresh.inMin) {
+			t.Fatalf("%s %v maxW=%d u=%d step %d: pooled rows differ from a fresh fill", name, version, maxW, u, step)
+		}
+		fresh.Release()
 		if g.Budgets[u] > 0 {
 			brS, brD := GreedyDeviatorResponder(g, d, ds), GreedyDeviatorResponder(g, twin, dd)
 			if brS.Cost != brD.Cost || brS.Current != brD.Current || brS.Explored != brD.Explored ||
@@ -122,27 +133,28 @@ func deriveCase(t *testing.T, name string, start *graph.Digraph, version Version
 		}
 		ds.Release()
 		dd.Release()
-		sameDeviatorState(t, name, version, maxW, u, step, ds, dd) // after the scan built colMin/memo/levels
+		sameDeviatorState(t, name, version, maxW, u, step, ds, dd) // after the scan built the memo and levels
 	}
 	move := func(u int) { d.SetOut(u, randomStrategy(n, u, g.Budgets[u], rng)) }
-	acquire(x) // first entry: no donor, filled on both sides
+	acquire(x) // first entry: the shared matrix is filled on both sides
 	move(x)
-	acquire(y) // new entry: derived from x (x's own move is the only change)
-	acquire(y) // quiet acquisitions: the streak climbs, so the rebuild
-	acquire(y) // below must visibly reset it
+	acquire(y) // new entry over a repaired shared matrix
+	acquire(y) // quiet acquisitions: the streak climbs, so a heavy
+	acquire(y) // sync below must visibly reset it
 	for k := 0; k < 3; k++ {
 		if m := rng.Intn(n); m != x {
 			move(m)
 		}
 	}
-	acquire(x) // x catches up and is exact again
+	acquire(x) // x catches up: G−x moved, every damaged row refilled
 	move(x)
-	acquire(y) // repaired, or past the caps rebuilt whole: derived from x
+	acquire(x) // x's own move: G−x is intact, its private rows are kept
+	acquire(y) // repaired, or past the caps filled whole
 	for k := 0; k < 3; k++ {
 		acquire(y) // settling: the streak climbs and levels appear
 	}
-	if ref = refPool.Stats(); ref.DeltaRepairs != 0 || ref.StampSkips != 0 || ref.Derives != 0 {
-		t.Fatalf("%s %v maxW=%d: reference pool took a stamp, the journal or a donor: %+v", name, version, maxW, ref)
+	if ref = refPool.Stats(); ref.DeltaRepairs != 0 || ref.StampSkips != 0 {
+		t.Fatalf("%s %v maxW=%d: reference pool took a stamp or the journal: %+v", name, version, maxW, ref)
 	}
 	return pool.Stats(), ref
 }
@@ -153,22 +165,58 @@ func sameDeviatorState(t *testing.T, name string, version Version, maxW int32, u
 	t.Helper()
 	fail := func(what string) {
 		t.Helper()
-		t.Fatalf("%s %v maxW=%d u=%d step %d: derived and filled %s diverged", name, version, maxW, u, step, what)
+		t.Fatalf("%s %v maxW=%d u=%d step %d: journaled and reference %s diverged", name, version, maxW, u, step, what)
 	}
 	switch {
-	case !reflect.DeepEqual(ds.rows, dd.rows):
+	case !reflect.DeepEqual(viewRows(ds), viewRows(dd)):
 		fail("rows")
+	case !reflect.DeepEqual(ds.priv, dd.priv) || !reflect.DeepEqual(ds.rows, dd.rows):
+		fail("private rows")
 	case !reflect.DeepEqual(ds.inMin, dd.inMin):
 		fail("inMin")
-	case !reflect.DeepEqual(ds.colMin, dd.colMin):
-		fail("colMin")
 	case !reflect.DeepEqual(ds.memo, dd.memo):
 		fail("SUM memo")
 	case !reflect.DeepEqual(ds.lc, dd.lc) || !reflect.DeepEqual(ds.inLv, dd.inLv):
 		fail("level sets")
-	case ds.stable != dd.stable || ds.sumSufInOK != dd.sumSufInOK:
+	case ds.stable != dd.stable:
 		fail("stability state")
 	case !reflect.DeepEqual(ds.woff, dd.woff) || ds.wgen != dd.wgen:
 		fail("weighted offsets")
+	case !reflect.DeepEqual(ds.label, dd.label) || ds.comps != dd.comps || !reflect.DeepEqual(ds.in, dd.in):
+		fail("component labels or in-anchors")
 	}
+}
+
+// samePoolState fails unless two pools over the same graph hold the
+// same shared matrix and shared level sets.
+func samePoolState(t *testing.T, name string, p, q *CachePool) {
+	t.Helper()
+	if !reflect.DeepEqual(p.sh.dist, q.sh.dist) {
+		t.Fatalf("%s: shared matrices diverged", name)
+	}
+	if !reflect.DeepEqual(p.sh.lc, q.sh.lc) {
+		t.Fatalf("%s: shared level sets diverged", name)
+	}
+}
+
+// viewRows returns the n×n matrix dv's kernels read: row v through the
+// accessor, finite entries at their offset, with row u and column u
+// blanked to -2 — the only entries no kernel reads (inMin[u] = -1 masks
+// column u).
+func viewRows(dv *Deviator) []int32 {
+	n := dv.game.N()
+	out := make([]int32, n*n)
+	for v := 0; v < n; v++ {
+		r, off := dv.row(v)
+		for w, x := range r {
+			if x < graph.InfDist {
+				x += off
+			}
+			if v == dv.u || w == dv.u {
+				x = -2
+			}
+			out[v*n+w] = x
+		}
+	}
+	return out
 }

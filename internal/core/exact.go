@@ -75,11 +75,6 @@ func (g *Game) exactOn(dv *Deviator, d *graph.Digraph) BestResponse {
 	if b > len(targets) {
 		return best // degenerate budget: no strategy of size b exists
 	}
-	if dv.sumPrune() {
-		// Build the shared column-min bound once, before any clone: the
-		// workers' pruning suffixes all derive from it.
-		dv.ensureColMin()
-	}
 	firsts := len(targets) - b + 1
 	workers := runtime.GOMAXPROCS(0)
 	if workers > firsts {
@@ -156,8 +151,7 @@ func newExactLocal(dv *Deviator, targets []int, b int, current int64) *exactLoca
 		if dv.sumPrune() {
 			// The inMin suffix bound is valid for every leaf: each
 			// partial min-vector only shrinks entries below inMin, never
-			// below min(inMin, colMin). It is worker-local scratch
-			// (clones share colMin but fill their own suffix).
+			// below min(inMin, 0). It is worker-local scratch.
 			e.prune = true
 			e.suf = dv.inMinSuffix()
 		}

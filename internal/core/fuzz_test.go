@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -42,6 +43,14 @@ func decodeRealization(data []byte) *graph.Digraph {
 // as fuzz corpus bytes, so the fuzzer starts from the same structural
 // shapes the property suite sweeps.
 func familySeeds(f *testing.F) {
+	for _, enc := range familyEncodings() {
+		f.Add(enc, byte(0), byte(0))
+	}
+}
+
+// familyEncodings returns the family instances of familySeeds in
+// decodeRealization's byte form.
+func familyEncodings() [][]byte {
 	rng := rand.New(rand.NewSource(7201))
 	budgets := make([]int, 8)
 	for i := range budgets {
@@ -55,6 +64,7 @@ func familySeeds(f *testing.F) {
 	if err != nil {
 		panic(err)
 	}
+	var encs [][]byte
 	for _, d := range []*graph.Digraph{
 		graph.PathGraph(7),
 		graph.CycleGraph(8),
@@ -71,8 +81,9 @@ func familySeeds(f *testing.F) {
 				enc = append(enc, byte(u), byte(v))
 			}
 		}
-		f.Add(enc, byte(0), byte(0))
+		encs = append(encs, enc)
 	}
+	return encs
 }
 
 func FuzzSumPrune(f *testing.F) {
@@ -138,4 +149,154 @@ func FuzzSumPrune(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzPoolRows drives pooled SUM, MAX, weighted SUM and weighted MAX
+// games through fuzz-chosen sequences of moves, reweights and
+// over-invalidations, on graphs with an unbounded journal, a journal
+// small enough to overflow, or none. After every step each acquired
+// entry must expose, through the row accessor with offsets applied,
+// exactly the rows of G−u a per-source Dijkstra (BFS at unit weights)
+// computes — outside row and column u, which no kernel reads — with
+// the matching inMin and component labels, and its greedy response
+// must equal the uncached oracle's.
+//
+// kind picks the family (bits 0–1), the journal (bits 2–4: 0
+// unbounded, 1–4 that many entries, more none) and the weight range
+// (bits 5–7); every op byte moves (or, weighted, reweights) from the
+// vertex it names.
+func FuzzPoolRows(f *testing.F) {
+	for i, enc := range familyEncodings() {
+		f.Add(enc, []byte{3, 0x41, 7, 0x82, 0, 0xc5, 12, 0x23}, byte(i*37))
+	}
+	f.Fuzz(func(t *testing.T, data, ops []byte, kind byte) {
+		d := decodeRealization(data)
+		if d == nil || d.N() < 2 {
+			return
+		}
+		n := d.N()
+		version := []Version{SUM, MAX}[kind&1]
+		var wts *graph.Weights
+		if kind&2 != 0 {
+			wts = graph.NewWeights(n, int64(kind), 2+int32(kind>>5))
+		}
+		switch j := int(kind>>2) & 7; {
+		case j == 0:
+			d.StartJournal(0)
+		case j <= 4:
+			d.StartJournal(j)
+		}
+		g := GameOf(d, version)
+		pool := NewWeightedCachePool(g, 0, wts)
+		defer pool.Close()
+		rng := rand.New(rand.NewSource(int64(kind)))
+		if len(ops) > 48 {
+			ops = ops[:48]
+		}
+		for step, op := range ops {
+			m := int(op) % n
+			switch op >> 6 {
+			case 0, 1:
+				d.SetOut(m, randomStrategy(n, m, g.Budgets[m], rng))
+			case 2:
+				if v := rng.Intn(n); wts != nil && v != m {
+					if err := wts.Set(m, v, 1+rng.Int31n(wts.MaxW())); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pool.Invalidate()
+			for _, u := range []int{m, rng.Intn(n)} {
+				dv := pool.Acquire(d, u)
+				checkPoolRows(t, step, g, d, wts, dv)
+				if g.Budgets[u] > 0 {
+					sameBR(t, "pooled greedy", GreedyDeviatorResponder(g, d, dv), oracle(g, d, u, wts, (*Game).greedyOn))
+				}
+				dv.Release()
+			}
+		}
+	})
+}
+
+// checkPoolRows fails unless pool entry dv exposes the rows, inMin and
+// component labels of G−u for d, against a per-source Dijkstra oracle.
+func checkPoolRows(t *testing.T, step int, g *Game, d *graph.Digraph, wts *graph.Weights, dv *Deviator) {
+	t.Helper()
+	n, u := g.N(), dv.u
+	if dv.pool == nil {
+		t.Fatalf("step %d u=%d: player served unpooled under an unbounded budget", step, u)
+	}
+	a := d.Underlying()
+	weight := func(x, y int) int32 {
+		if wts == nil {
+			return 1
+		}
+		return wts.Of(x, y)
+	}
+	view := viewRows(dv)
+	inMin := make([]int32, n)
+	for w := range inMin {
+		inMin[w] = graph.InfDist
+	}
+	dist := make([]int32, n)
+	done := make([]bool, n)
+	for s := 0; s < n; s++ {
+		if s == u {
+			continue
+		}
+		// Dijkstra from s over G−u, O(n²).
+		for i := range dist {
+			dist[i], done[i] = graph.InfDist, false
+		}
+		dist[s] = 0
+		for {
+			x := -1
+			for i := range dist {
+				if !done[i] && i != u && dist[i] < graph.InfDist && (x < 0 || dist[i] < dist[x]) {
+					x = i
+				}
+			}
+			if x < 0 {
+				break
+			}
+			done[x] = true
+			for _, y := range a[x] {
+				if y != u && dist[x]+weight(x, y) < dist[y] {
+					dist[y] = dist[x] + weight(x, y)
+				}
+			}
+		}
+		off := int32(0)
+		if wts != nil {
+			off = wts.Of(u, s) - 1
+		}
+		for w := 0; w < n; w++ {
+			want := dist[w]
+			if want < graph.InfDist {
+				want += off
+			}
+			if w != u && view[s*n+w] != want {
+				t.Fatalf("step %d u=%d row %d col %d: pooled %d, oracle %d (private %v)",
+					step, u, s, w, view[s*n+w], want, dv.priv[s] >= 0)
+			}
+		}
+		if slices.Contains(dv.in, s) {
+			for w := range inMin {
+				if dist[w] < graph.InfDist {
+					inMin[w] = min(inMin[w], dist[w]+off)
+				}
+			}
+		}
+	}
+	inMin[u] = -1
+	if !slices.Equal(dv.inMin, inMin) {
+		t.Fatalf("step %d u=%d: pooled inMin %v, oracle %v", step, u, dv.inMin, inMin)
+	}
+	if !slices.Equal(dv.in, d.In(u)) {
+		t.Fatalf("step %d u=%d: pooled in(u) %v, graph %v", step, u, dv.in, d.In(u))
+	}
+	label, comps := graph.ComponentsExcluding(a, u)
+	if dv.comps != comps || !slices.Equal(dv.label, label) {
+		t.Fatalf("step %d u=%d: pooled components %d %v, oracle %d %v", step, u, dv.comps, dv.label, comps, label)
+	}
 }

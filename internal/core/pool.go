@@ -11,96 +11,105 @@ import (
 // from scratch for every best-response call, so a dynamics round at n
 // players pays n full matrix fills even when nothing moved. A CachePool
 // keeps one cached Deviator per player alive across movers and rounds
-// and lazily repairs it (Deviator.Repair: delta BFS over the edges that
-// actually changed) when the graph has moved on since the entry was last
-// used. Converged and converging rounds — the bulk of any dynamics run —
-// then cost zero fills: each acquisition is a version check plus, at
-// most, a repair proportional to the damage of the accepted moves.
+// and syncs it lazily when the graph has moved on since the entry was
+// last used. Converged and converging rounds — the bulk of any dynamics
+// run — then cost zero fills: each acquisition is a version check plus,
+// at most, work proportional to the damage of the accepted moves.
 //
-// Generation stamps push that one level further. Every entry remembers
-// the graph generation and content anchor it was last synced to
-// (graph/stamp.go); a stale acquisition first consults the stamps — an
-// unchanged generation or matching anchor proves the entry is exact and
-// skips even the O(n+m) UnderlyingWithout rebuild + DiffUnd, and the
-// mutation journal hands Repair the exact edge delta when only a few
-// movers touched the graph. A settled round is then O(movers), not
-// O(players): untouched players cost a stamp comparison each.
+// Shared rows. dist_{G-u} and dist_G agree in almost every row: deleting
+// u lengthens the distances from a source s only when some child of u on
+// s's shortest-path DAG has no other parent one level up
+// (graph.DeletionDamage). So the pool keeps one exact matrix D = dist_G
+// of the whole graph, stored raw in the weighted tier too, over the
+// full-graph CSR (WCSR) it packs, and each entry keeps only the rows of
+// dist_{G-u} that u's deletion damages, refilled over the pool's CSR
+// with u blocked (graph.RowsWithout). Every other row an entry reads is
+// D's; column u of a shared row is dist_G(v,u), not InfDist, and the
+// entry masks it with inMin[u] = -1 (distcache.go). Memory is O(n²) for
+// D plus the damaged rows, instead of O(n³).
 //
 // The acquisition ladder, cheapest proof first:
 //
-//	StampSkip → DeltaRepair → Derive → Fill / Resync
+//	StampSkip → sync D → damage test → private refill
 //
-//   - StampSkip: same instance and generation, a journal delta that is
-//     empty outside u, or a matching content anchor — nothing to do.
-//   - DeltaRepair: the journal's exact edge delta repairs the rows in
-//     place (graph.RepairRows). DeltaSince is capped at
-//     graph.RepairDeltaCap, so an oversized delta is known before any
-//     netting work and goes straight to a whole rebuild.
-//   - Derive: wherever a whole matrix of dist_{G−y} would be built — a
-//     new entry, or a repair past RepairDeltaCap / RepairRefillFraction
-//     — it is derived instead from the pool's freshest exact entry x
-//     (graph.DeriveRows): copy x's rows, re-insert x, delete y, refill
-//     only the rows y's deletion damaged. The donor is one of the two
-//     most recently synced entries, and "exact" means the journal shows
-//     no edge change outside x's own incident edges since x synced (and,
-//     in a weighted pool, x is at the live weights generation). In a
-//     dynamics run that is normally the previous player, whose own move
-//     is the only change since. Derived rows are bit-identical to a
-//     fresh fill and the entry's colMin, SUM memo, level sets and
-//     stability streak follow the full-refill rules, so derivation is
-//     invisible past the counters.
-//   - Fill / Resync: a whole-matrix fill remains only when no donor
-//     qualifies or y's deletion damages more than RepairRefillFraction
-//     of the rows; a resync (UnderlyingWithout + DiffUnd) only when the
-//     journal cannot cover the gap or in(u) moved.
+//   - StampSkip: an entry already synced to D's current version, with
+//     in(u) and its offsets unchanged, is exact — the stamps (same
+//     instance and generation, an untouched u, or a matching content
+//     anchor) prove it without touching a row.
+//   - Sync D: D is brought to the live graph once per change, not once
+//     per entry. The mutation journal's edge delta (and, weighted, the
+//     weights change log: a reweighted edge is removed(old) +
+//     added(new)) repairs it in place (graph.RepairRows /
+//     RepairRowsWeighted). A whole fill remains only when the journal
+//     cannot cover the gap or the delta is past the repair caps. D keeps
+//     a version, bumped whenever the graph changed, and per row the
+//     version at which its content last changed.
+//   - Damage test: an entry behind D's version re-runs the lost-parent
+//     test over D's rows; in(u) and, when G-u may have moved, the
+//     component labels of G-u (one BFS over the CSR with u blocked) are
+//     refreshed with it.
+//   - Private refill: the damaged rows are refilled with u blocked —
+//     except, when the journal proves G-u unchanged since the entry
+//     synced (u's own move), rows that were damaged before keep their
+//     exact content.
 //
-// Every rung is exact: the rows it leaves equal a whole fill bit for
-// bit, so pooled responders return what the uncached Deviator — plain
-// per-candidate BFS, or Dijkstra under weights — returns; tests pin the
-// pool against that reference. On a graph without a journal (Clone
-// never copies one) every entry whose graph moved takes the Resync rung.
+// Every rung is exact: an entry's rows equal a whole fill of G-u outside
+// column u, bit for bit, so pooled responders return what the uncached
+// Deviator — plain per-candidate BFS, or Dijkstra under weights —
+// returns; tests pin the pool against that reference. On a graph without
+// a journal (Clone never copies one) every change takes a whole fill of
+// D and a damage test per entry.
+//
+// Derived state. The SUM memo, the MAX level sets and the stability
+// streak are maintained from content alone: a sync stales candidate v
+// when its shared row's content changed since the entry synced, when
+// its private row's content changed, when v moved between private and
+// shared, or when its offset changed. So a journaled pool and a
+// journal-less one reach the same entry state. The level sets of the
+// shared rows live in the pool, patched row by row as D changes, and
+// each MAX entry keeps level sets for its private rows only.
 //
 // Admission is static: players are pooled first-come within the byte
 // budget, and everyone else gets a plain per-call Deviator. Dynamics
 // visit players cyclically, for which any evict-on-admission policy
 // (LRU included) degenerates to zero hits plus churn; a static resident
-// set keeps budget/per players at full repair speed and leaves the rest
-// exactly as fast as the refill baseline.
+// set keeps budget/per players at full speed and leaves the rest
+// exactly as fast as the refill baseline. The budget bounds what the
+// pool holds (account): D, its row versions, CSR and level sets, the
+// sync scratch, and per entry its private rows and level sets, inMin,
+// offsets, labels and SUM memo and bounds. An entry whose sync, or
+// whose scan (charged on Release), would push the pool past the budget
+// is released and its player served unpooled. Only the graph kernels'
+// O(n) working scratch is not charged.
 //
 // Concurrency contract: the pool is single-goroutine — every method
 // and every acquired Deviator belongs to the goroutine that drives it
-// (a dynamics engine's loop, or a serve session under its lock). The
-// one exception is monitoring: Stats and BytesUsed read atomics, so
-// serve's memory governor and /statsz may poll them from any goroutine
-// while the pool is in use.
+// (a dynamics engine's loop, or a serve session under its lock), and a
+// caller holds at most one acquired Deviator at a time. The one
+// exception is monitoring: Stats and BytesUsed read atomics, so serve's
+// memory governor and /statsz may poll them from any goroutine while
+// the pool is in use.
 
-// DefaultPoolBudget caps the total bytes of distance matrices a
-// CachePool keeps alive: 1 GiB, i.e. every player of an n ≈ 500 game or
-// the first ~budget/(4n²) players beyond that. The bbncg -poolmb flag
-// overrides it. The budget charges the matrices (rows + inMin) only;
-// stable MAX entries additionally hold bitset level sets — about
-// (diam+1)/32 of the matrix bytes on top — so operators sizing the
-// budget to a machine should leave that headroom.
+// DefaultPoolBudget caps the total bytes a CachePool keeps alive: 1 GiB.
+// The bbncg -poolmb flag overrides it.
 var DefaultPoolBudget int64 = 1 << 30
 
-// PoolStats counts what a CachePool did over its lifetime. Fills and
-// FullRefills count whole-matrix BFS (or weighted) fills only; a matrix
-// the derive rung built instead counts in Derives.
+// PoolStats counts what a CachePool did over its lifetime. D is the
+// pool's shared distance matrix of the whole graph.
 type PoolStats struct {
 	Acquires int64 // total Acquire calls
 	Hits     int64 // acquisitions served from a live entry
-	Fills    int64 // new entries built by a whole-matrix fill
-	Repairs  int64 // acquisitions that ran a repair (delta or resync)
+	Fills    int64 // whole fills of D (first use, journal gaps, repairs past their caps)
+	Repairs  int64 // syncs of D that found the graph changed (delta repairs, full refills, resyncs)
 	Unpooled int64 // acquisitions served by a plain Deviator (over budget or closed)
 
-	RowsPatched  int64 // matrix rows repaired by improvement-only BFS
-	RowsRefilled int64 // matrix rows recomputed by fresh BFS (repair- or derive-damaged)
-	FullRefills  int64 // repairs that fell back to a whole-matrix fill
+	RowsPatched  int64 // rows of D improved in place by the delta repair
+	RowsRefilled int64 // rows recomputed by fresh BFS/SSSP: D's damaged rows plus entries' private rows
+	FullRefills  int64 // syncs of D whose journal delta was too large or too damaging to repair (also counted in Fills)
 
-	StampSkips   int64 // stale acquisitions settled by stamps alone (no rebuild, no diff)
-	DeltaRepairs int64 // repairs driven by the journal delta (no diff; an oversized one rebuilds whole)
-	Resyncs      int64 // repairs that fell back to UnderlyingWithout + DiffUnd
-	Derives      int64 // whole matrices (new entries, past-threshold repairs) derived from an exact donor entry
+	StampSkips   int64 // stale acquisitions settled by stamps alone (no damage test, no row touched)
+	DeltaRepairs int64 // syncs of D repaired from the journal delta
+	Resyncs      int64 // syncs of D the journal could not cover, answered by a whole fill (also counted in Fills)
 	MemoHits     int64 // best-response scans skipped by the round-level memo
 }
 
@@ -111,7 +120,7 @@ type poolCounters struct {
 	acquires, hits, fills, repairs, unpooled atomic.Int64
 	rowsPatched, rowsRefilled, fullRefills   atomic.Int64
 	stampSkips, deltaRepairs, resyncs        atomic.Int64
-	derives, memoHits                        atomic.Int64
+	memoHits                                 atomic.Int64
 }
 
 // CachePool keeps per-player cached Deviators alive across the rounds of
@@ -119,7 +128,6 @@ type poolCounters struct {
 type CachePool struct {
 	game   *Game
 	budget int64
-	per    int64 // bytes per cached player: 4·n·(n+1)
 	// used is atomic only so external monitors (bbncg serve's memory
 	// governor) can read it without the single-goroutine pool lock; all
 	// writers are the pool's owning goroutine.
@@ -130,33 +138,56 @@ type CachePool struct {
 	closed  bool
 	ctr     poolCounters
 
-	// wts makes this a weighted pool (NewWeightedCachePool): entries are
-	// weighted Deviators whose rows hold offset-adjusted weighted
-	// distances. Weight mutations are a second staleness stream beside
-	// the pool version — entries remember the weights generation they
-	// were synced to (Deviator.wgen), so weight-only changes need no
-	// Invalidate call and settled rounds still cost one comparison per
-	// untouched player.
+	// wts makes this a weighted pool (NewWeightedCachePool): D holds raw
+	// weighted distances and entries add their offsets at merge time.
+	// Weight mutations are a second staleness stream beside the pool
+	// version — entries remember the weights generation they were synced
+	// to, so weight-only changes need no Invalidate call.
 	wts *graph.Weights
 
-	// Derive rung state, owned here so a derivation allocates nothing:
-	// the two most recently synced entries (donor candidates, newest
-	// first), the whole graph as a CSR — a WCSR in a weighted pool —
-	// repacked in place when (gOf, gGen, gWGen) goes stale, and the
-	// damage scratch.
-	fresh [2]*poolEntry
-	gcsr  graph.CSR
-	gwcsr graph.WCSR
-	gOf   *graph.Digraph
-	gGen  int64
-	gWGen int64
-	dds   *graph.DeltaScratch
-	wdds  *graph.WDeltaScratch
+	sh      *shared // nil until the first pooled acquisition
+	shBytes int64   // bytes of sh charged to used
+}
+
+// shared is the pool's one exact distance matrix of the whole graph and
+// the state kept beside it.
+type shared struct {
+	dist   []int32 // flat n×n dist_G (raw weighted distances in a weighted pool)
+	rowVer []int64 // rowVer[s]: ver at which row s's content last changed
+	ver    int64   // bumped by every sync that found the graph changed
+	lc     *graph.LevelCache
+
+	// The graph D describes: the CSR (WCSR when weighted) it was packed
+	// from, the instance and generation, its content anchor and the
+	// weights generation.
+	csr  graph.CSR
+	wcsr graph.WCSR
+	of   *graph.Digraph
+	gen  int64
+	aid  uint64
+	agen int64
+	wgen int64
+
+	// Sync scratch, sized once so a sync never grows what the pool
+	// holds: repair and refill buffers, the damaged rows and the
+	// destinations of their refills, per-vertex marks and private
+	// indices, and the component BFS queue.
+	ds      *graph.DeltaScratch
+	wds     *graph.WDeltaScratch
+	fs      graph.FillScratch
+	damaged []int32
+	dst     [][]int32
+	refill  []int32
+	mark    []bool
+	priv    []int32
+	stale   []int32
+	queue   []int32
 }
 
 type poolEntry struct {
 	dv      *Deviator
 	version int64
+	bytes   int64 // charged to used
 
 	// Stamp state: the graph instance and generation the entry was last
 	// synced against, plus its content anchor (matches any clone of the
@@ -186,25 +217,18 @@ func NewCachePool(g *Game, budgetBytes int64) *CachePool {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultPoolBudget
 	}
-	n := int64(g.N())
 	return &CachePool{
 		game:    g,
 		budget:  budgetBytes,
-		per:     4 * n * (n + 1),
 		entries: make(map[int]*poolEntry),
 	}
 }
 
 // NewWeightedCachePool returns a pool whose entries evaluate under arc
-// weights wts (nil wts degrades to NewCachePool). Weighted entries
-// additionally hold the n-entry offset vector, charged to the budget.
+// weights wts (nil wts degrades to NewCachePool).
 func NewWeightedCachePool(g *Game, budgetBytes int64, wts *graph.Weights) *CachePool {
 	p := NewCachePool(g, budgetBytes)
-	if wts != nil {
-		p.wts = wts
-		n := int64(g.N())
-		p.per = 4 * n * (n + 2)
-	}
+	p.wts = wts
 	return p
 }
 
@@ -220,209 +244,582 @@ func (p *CachePool) BuiltFor(g *Game, wts *graph.Weights) bool {
 
 // Invalidate marks the graph as changed — an accepted move, or a whole
 // graph swap in the profile-enumeration harnesses: every pooled entry
-// is stale and will be resynced on its next acquisition. Staleness is
-// pool-wide, not per-mover; the resync of an untouched player is a
-// generation comparison, so over-invalidation stays cheap. Nil-safe and
-// a no-op after Close so disabled-pool call sites stay branchless.
+// is stale and will be synced on its next acquisition. Staleness is
+// pool-wide, not per-mover; the sync of an untouched player is a stamp
+// comparison, so over-invalidation stays cheap. Nil-safe and a no-op
+// after Close so disabled-pool call sites stay branchless.
 func (p *CachePool) Invalidate() {
 	if p != nil && !p.closed {
 		p.version++
 	}
 }
 
-// record stamps e as synced to d's current state, making it the
-// freshest donor candidate.
-func (p *CachePool) record(e *poolEntry, d *graph.Digraph) {
-	e.graph = d
-	e.gen = d.Gen()
-	e.aid, e.agen = d.Anchor()
-	if p.fresh[0] != e {
-		p.fresh[0], p.fresh[1] = e, p.fresh[0]
-	}
-}
-
 // Acquire returns a Deviator for player u evaluating against d, synced
-// to d's current state: a pooled entry is repaired in place if stale, a
+// to d's current state: a pooled entry is synced in place if stale, a
 // new entry is built if the budget still has room, and a plain uncached
 // Deviator is returned otherwise (always after Close). The caller must
-// Release the Deviator when done with it and must not use it after the
-// pool's next Acquire for the same player.
+// Release the Deviator when done with it, must not use it after the
+// pool's next Acquire, and must not hold two acquired Deviators at once.
 func (p *CachePool) Acquire(d *graph.Digraph, u int) *Deviator {
 	p.ctr.acquires.Add(1)
 	if p.closed {
 		p.ctr.unpooled.Add(1)
 		return NewWeightedDeviator(p.game, d, u, p.wts)
 	}
-	if e, ok := p.entries[u]; ok {
-		if e.version != p.version {
-			p.resync(e, d)
-			e.version = p.version
-		} else if p.wts != nil && e.dv.wgen != p.wts.Gen() {
-			// Graph untouched but weights moved on: sync the rows from the
-			// weights change log. Counted as a repair, never a resync — the
-			// topology ladder is not involved.
-			e.dv.syncWeights()
-			p.ctr.repairs.Add(1)
-		} else {
-			e.dv.noteStable() // untouched graph: strongest stability signal
-		}
+	e, ok := p.entries[u]
+	if ok && e.version == p.version && (p.wts == nil || e.dv.wgen == p.wts.Gen()) {
+		e.dv.noteStable() // untouched graph: strongest stability signal
 		p.ctr.hits.Add(1)
 		return e.dv
 	}
-	dv := NewWeightedDeviator(p.game, d, u, p.wts)
-	if p.used.Load()+p.per > p.budget || !dv.allocCache(p.per) {
-		p.ctr.unpooled.Add(1)
-		return dv // over budget: behaves like a plain Deviator
-	}
-	dv.pool = p
-	p.used.Add(p.per)
-	if st, ok := p.derive(dv, d); ok {
-		p.ctr.derives.Add(1)
-		p.ctr.rowsRefilled.Add(int64(st.RowsRefilled))
-	} else {
-		dv.fillWhole(dv.base)
-		p.ctr.fills.Add(1)
-	}
-	dv.rebuildInMin()
-	e := &poolEntry{dv: dv, version: p.version}
-	p.record(e, d)
-	p.entries[u] = e
-	return dv
-}
-
-// resync brings a stale entry in step with d, cheapest proof first:
-// stamp skip (same instance and generation, or matching content anchor
-// across clones) → journal delta repair, or past the repair cap a whole
-// rebuild (derived when a donor qualifies) → full rebuild + diff.
-func (p *CachePool) resync(e *poolEntry, d *graph.Digraph) {
-	if p.wts != nil && e.dv.wgen != p.wts.Gen() {
-		// Weight deltas land first, against the topology the rows still
-		// describe (Repair/RepairDelta would do the same internally; doing
-		// it here keeps the stamp-skip exits exact too).
-		e.dv.syncWeights()
-		p.ctr.repairs.Add(1)
-	}
-	if e.graph != nil {
-		if e.graph == d {
-			if e.gen == d.Gen() {
-				e.dv.noteStable()
-				p.ctr.stampSkips.Add(1)
-				return
+	if p.syncShared(d) {
+		if ok {
+			p.syncEntry(e, d)
+		} else {
+			e = p.newEntry(d, u)
+		}
+		if p.account(e) && e != nil {
+			e.version = p.version
+			e.graph, e.gen = d, d.Gen()
+			e.aid, e.agen = d.Anchor()
+			if ok {
+				p.ctr.hits.Add(1)
 			}
-			dl, ok := d.DeltaSince(e.gen, e.dv.u, graph.RepairDeltaCap(p.game.N()))
-			if ok && (dl.Oversized || !dl.InTouched) {
-				switch {
-				case dl.Oversized:
-					// Past the repair cap: rebuild whole straight away —
-					// Repair would diff its way to the same full refill.
-					p.noteDelta(e.dv.resync(d, true))
-				case len(dl.Removed)+len(dl.Added) == 0:
-					e.dv.noteStable()
-					p.ctr.stampSkips.Add(1)
-				default:
-					p.noteDelta(e.dv.RepairDelta(d, dl.Removed, dl.Added))
-				}
-				p.record(e, d)
-				return
-			}
-		} else if aid, agen := d.Anchor(); aid == e.aid && agen == e.agen {
-			// A different instance (a fresh clone) with the same content
-			// anchor: identical arc set, nothing to do.
-			e.dv.noteStable()
-			p.ctr.stampSkips.Add(1)
-			p.record(e, d)
-			return
+			return e.dv
 		}
 	}
-	st := e.dv.Repair(d)
-	p.ctr.resyncs.Add(1)
-	p.ctr.repairs.Add(1)
-	p.noteRepair(st)
-	p.record(e, d)
+	p.ctr.unpooled.Add(1)
+	return NewWeightedDeviator(p.game, d, u, p.wts)
 }
 
-// noteDelta counts one journal-driven repair.
-func (p *CachePool) noteDelta(st graph.RepairStats) {
+// syncShared brings D to d's current state (creating it on first use),
+// reporting false when the pool cannot hold it: a weighted pool whose
+// distances would alias InfDist, or a budget D does not fit.
+func (p *CachePool) syncShared(d *graph.Digraph) bool {
+	sh := p.sh
+	if sh == nil {
+		n := p.game.N()
+		if p.wts != nil && !graph.FitsWeightedCache(n, p.wts.MaxW()) {
+			return false // offsets would alias InfDist: Dijkstra fallback
+		}
+		p.sh = &shared{
+			rowVer:  make([]int64, n),
+			damaged: make([]int32, 0, n),
+			dst:     make([][]int32, 0, n),
+			refill:  make([]int32, 0, n),
+			mark:    make([]bool, n),
+			priv:    make([]int32, n),
+			stale:   make([]int32, 0, n),
+			queue:   make([]int32, 0, n),
+		}
+		p.pack(d)
+		if p.used.Load()+p.sharedBytes()+4*int64(n)*int64(n) > p.budget {
+			p.sh = nil // D does not fit: every player is served unpooled
+			return false
+		}
+		p.sh.dist = make([]int32, n*n)
+		p.refillShared(d)
+		p.stampShared(d)
+		return p.account(nil)
+	}
+	if sh.of == d && sh.gen == d.Gen() && (p.wts == nil || sh.wgen == p.wts.Gen()) {
+		return true
+	}
+	if aid, agen := d.Anchor(); aid == sh.aid && agen == sh.agen && (p.wts == nil || sh.wgen == p.wts.Gen()) {
+		p.stampShared(d) // a clone of the same arc set: D is exact
+		return true
+	}
+	p.repairShared(d)
+	p.stampShared(d)
+	return p.account(nil)
+}
+
+// pack repacks the pool's full-graph CSR (WCSR at the live weights) for
+// d's current state.
+func (p *CachePool) pack(d *graph.Digraph) {
+	if p.wts != nil {
+		p.sh.wcsr.ResetUnderlying(d, p.wts)
+	} else {
+		p.sh.csr.ResetUnderlying(d)
+	}
+}
+
+// stampShared records d's current state as the one D describes.
+func (p *CachePool) stampShared(d *graph.Digraph) {
+	sh := p.sh
+	sh.of, sh.gen = d, d.Gen()
+	sh.aid, sh.agen = d.Anchor()
+	if p.wts != nil {
+		sh.wgen = p.wts.Gen()
+	}
+}
+
+// repairShared brings D from the state it was stamped at to d's: the
+// journal delta (with the weights change log) repairs it in place, and
+// a whole refill covers a gap or a delta past the repair caps.
+func (p *CachePool) repairShared(d *graph.Digraph) {
+	sh := p.sh
+	n := p.game.N()
+	if sh.of != d {
+		p.ctr.resyncs.Add(1)
+		p.refillShared(d)
+		return
+	}
+	dl, ok := d.DeltaSince(sh.gen, -1, graph.RepairCap(n))
+	var changes []graph.WeightChange
+	if p.wts != nil && ok {
+		changes, ok = p.wts.ChangesSince(sh.wgen)
+	}
+	switch {
+	case !ok:
+		p.ctr.resyncs.Add(1)
+		p.refillShared(d)
+		return
+	case dl.Oversized:
+		p.ctr.fullRefills.Add(1)
+		p.refillShared(d)
+		return
+	}
+	var st graph.RepairStats
+	if p.wts == nil {
+		if len(dl.Removed)+len(dl.Added) == 0 {
+			return // only brace halves moved: U(G) and D are unchanged
+		}
+		p.pack(d)
+		if sh.ds == nil {
+			sh.ds = graph.NewDeltaScratch(n)
+		}
+		st = sh.csr.RepairRows(sh.dist, dl.Removed, dl.Added, sh.ds)
+	} else {
+		p.pack(d)
+		removed, added := p.weightedDelta(dl, changes)
+		if len(removed)+len(added) == 0 {
+			return // no edge of G moved or changed weight
+		}
+		if sh.wds == nil {
+			sh.wds = graph.NewWDeltaScratch(n)
+		}
+		st = sh.wcsr.RepairRowsWeighted(sh.dist, removed, added, sh.wds)
+	}
+	if st.FullRefill {
+		p.ctr.fullRefills.Add(1)
+		p.refillShared(d)
+		return
+	}
+	p.ctr.repairs.Add(1)
 	p.ctr.deltaRepairs.Add(1)
-	p.ctr.repairs.Add(1)
-	p.noteRepair(st)
-}
-
-func (p *CachePool) noteRepair(st graph.RepairStats) {
 	p.ctr.rowsPatched.Add(int64(st.RowsPatched))
 	p.ctr.rowsRefilled.Add(int64(st.RowsRefilled))
-	switch {
-	case st.Derived:
-		p.ctr.derives.Add(1)
-	case st.FullRefill:
-		p.ctr.fullRefills.Add(1)
-	}
+	p.bump(st.Changed)
 }
 
-// derive fills dv's whole matrix for d — dv must belong to this pool,
-// with its buffers allocated and, weighted, its offsets current — from
-// the freshest exact donor entry (the derive rung; see the file
-// comment). It reports false, leaving dv.rows without meaningful
-// content, when no donor qualifies or the derivation declined on
-// damage; the caller then fills the matrix whole. Nil-safe.
-func (p *CachePool) derive(dv *Deviator, d *graph.Digraph) (graph.RepairStats, bool) {
-	if p == nil || p.closed {
-		return graph.RepairStats{}, false
+// weightedDelta labels the journal's edge delta with weights — a
+// removed edge with the weight D saw, an added one with its current
+// weight — and adds every reweighted edge of the graph as removed(old)
+// + added(new). sh.wcsr must already describe d.
+func (p *CachePool) weightedDelta(dl graph.EdgeDelta, changes []graph.WeightChange) (removed, added []graph.WEdge) {
+	old := make(map[[2]int32]int32, len(changes))
+	for _, ch := range changes {
+		old[[2]int32{ch.U, ch.V}] = ch.Old
 	}
-	x := p.donor(d, dv.u)
-	if x == nil {
-		return graph.RepairStats{}, false
+	for _, e := range dl.Removed {
+		w, ok := old[e]
+		if !ok {
+			w = p.wts.Of(int(e[0]), int(e[1]))
+		}
+		removed = append(removed, graph.WEdge{A: e[0], B: e[1], W: w})
 	}
-	stale := p.gOf != d || p.gGen != d.Gen()
-	p.gOf, p.gGen = d, d.Gen()
-	xu, y := int32(x.dv.u), int32(dv.u)
+	for _, e := range dl.Added {
+		added = append(added, graph.WEdge{A: e[0], B: e[1], W: p.wts.Of(int(e[0]), int(e[1]))})
+	}
+	c := &p.sh.wcsr
+	for _, ch := range changes {
+		e := [2]int32{ch.U, ch.V}
+		if slices.Contains(dl.Added, e) || !slices.Contains(c.Nbrs[c.Indptr[ch.U]:c.Indptr[ch.U+1]], ch.V) {
+			continue // new with its current weight, or no edge of the graph
+		}
+		removed = append(removed, graph.WEdge{A: ch.U, B: ch.V, W: ch.Old})
+		added = append(added, graph.WEdge{A: ch.U, B: ch.V, W: ch.New})
+	}
+	return removed, added
+}
+
+// refillShared fills D whole for d and bumps the rows whose content
+// changed, so entries see exactly the rows a repair would have changed.
+func (p *CachePool) refillShared(d *graph.Digraph) {
+	sh := p.sh
+	n := p.game.N()
+	tmp := getInt32(n * n)
+	p.pack(d)
 	if p.wts != nil {
-		if stale || p.gWGen != p.wts.Gen() {
-			p.gwcsr.ResetUnderlying(d, p.wts)
-			p.gWGen = p.wts.Gen()
+		sh.wcsr.DistanceRowsInto(tmp)
+	} else {
+		sh.csr.DistanceRowsInto(tmp)
+	}
+	changed := sh.stale[:0]
+	for s := 0; s < n; s++ {
+		if row := sh.dist[s*n : (s+1)*n]; !slices.Equal(row, tmp[s*n:(s+1)*n]) {
+			copy(row, tmp[s*n:(s+1)*n])
+			changed = append(changed, int32(s))
 		}
-		if p.wdds == nil {
-			p.wdds = graph.NewWDeltaScratch(p.game.N())
-		}
-		return p.gwcsr.DeriveRowsWeighted(dv.rows, x.dv.rows, dv.woff, x.dv.woff, xu, y, p.wdds)
 	}
-	if stale {
-		p.gcsr.ResetUnderlying(d)
+	putInt32(tmp)
+	sh.stale = changed
+	p.ctr.fills.Add(1)
+	if sh.ver > 0 {
+		p.ctr.repairs.Add(1)
 	}
-	if p.dds == nil {
-		p.dds = graph.NewDeltaScratch(p.game.N())
-	}
-	return p.gcsr.DeriveRows(dv.rows, x.dv.rows, xu, y, p.dds)
+	p.bump(changed)
 }
 
-// donor returns the freshest entry other than player y's whose rows are
-// exact for d, or nil.
-func (p *CachePool) donor(d *graph.Digraph, y int) *poolEntry {
-	for _, e := range p.fresh {
-		if e != nil && e.dv.u != y && p.exact(e, d) {
-			return e
+// bump records a sync that found the graph changed: D's version moves
+// on, and the rows in changed (whose content moved) take it.
+func (p *CachePool) bump(changed []int32) {
+	sh := p.sh
+	n := p.game.N()
+	sh.ver++
+	for _, s := range changed {
+		sh.rowVer[s] = sh.ver
+		if sh.lc != nil {
+			sh.lc.SetRow(int(s), sh.dist[int(s)*n:(int(s)+1)*n])
 		}
 	}
-	return nil
 }
 
-// exact reports whether e's rows are dist_{G−x} for d's current arc
-// set: the journal shows no edge change outside x's own incident edges
-// since e synced (or d carries e's content anchor), and in a weighted
-// pool e is at the live weights generation.
-func (p *CachePool) exact(e *poolEntry, d *graph.Digraph) bool {
-	if p.wts != nil && e.dv.wgen != p.wts.Gen() {
-		return false
+// sharedLevels builds the level sets of D's rows on first use; bump
+// keeps them patched afterwards.
+func (p *CachePool) sharedLevels() {
+	sh := p.sh
+	if sh.lc != nil {
+		return
 	}
-	if e.graph == d {
-		if e.gen == d.Gen() {
-			return true
-		}
-		dl, ok := d.DeltaSince(e.gen, e.dv.u, 0)
-		return ok && !dl.Oversized
+	n := p.game.N()
+	sh.lc = graph.NewLevelCache(n, n)
+	for s := 0; s < n; s++ {
+		sh.lc.SetRow(s, sh.dist[s*n:(s+1)*n])
 	}
+}
+
+// damage returns the rows of D that deleting u damages, in increasing
+// order (valid until the next call).
+func (p *CachePool) damage(u int) []int32 {
+	sh := p.sh
+	if p.wts != nil {
+		sh.damaged = sh.wcsr.DeletionDamage(sh.dist, int32(u), sh.damaged[:0])
+	} else {
+		sh.damaged = sh.csr.DeletionDamage(sh.dist, int32(u), sh.damaged[:0])
+	}
+	return sh.damaged
+}
+
+// relabel recomputes dv's component labels of G-u over the pool's CSR.
+func (p *CachePool) relabel(dv *Deviator) {
+	sh := p.sh
+	if p.wts != nil {
+		dv.comps, sh.queue = sh.wcsr.ComponentsWithout(dv.u, dv.label, sh.queue)
+	} else {
+		dv.comps, sh.queue = sh.csr.ComponentsWithout(dv.u, dv.label, sh.queue)
+	}
+	if cap(dv.seen) < dv.comps+1 {
+		dv.seen = make([]bool, dv.comps+1)
+	}
+	dv.seen = dv.seen[:dv.comps+1]
+}
+
+// newEntry builds player u's entry against the synced D, or returns nil
+// when it would not fit the budget.
+func (p *CachePool) newEntry(d *graph.Digraph, u int) *poolEntry {
+	n := p.game.N()
+	dv := &Deviator{
+		game:   p.game,
+		u:      u,
+		in:     d.In(u),
+		label:  make([]int, n),
+		cinf:   p.game.Cinf(),
+		pool:   p,
+		priv:   make([]int32, n),
+		shared: p.sh.dist,
+		inMin:  make([]int32, n),
+	}
+	dv.weigh(p.wts)
+	if p.wts != nil {
+		dv.woff = make([]int32, n)
+	}
+	damaged := p.damage(u)
+	if p.used.Load()+dv.retainedBytes()+4*int64(len(damaged))*int64(n) > p.budget {
+		return nil
+	}
+	if p.wts != nil {
+		dv.rebuildWoff()
+	}
+	for v := range dv.priv {
+		dv.priv[v] = -1
+	}
+	dv.rows = make([]int32, len(damaged)*n)
+	dst := p.sh.dst[:0]
+	for i, s := range damaged {
+		dv.priv[s] = int32(i)
+		dst = append(dst, dv.rows[i*n:(i+1)*n])
+	}
+	p.fillPrivate(u, damaged, dst)
+	p.relabel(dv)
+	dv.rebuildInMin()
+	dv.dver = p.sh.ver
+	e := &poolEntry{dv: dv}
+	p.entries[u] = e
+	return e
+}
+
+// fillPrivate refills rows srcs of dist_{G-u} into dst, one n-entry
+// row per source.
+func (p *CachePool) fillPrivate(u int, srcs []int32, dst [][]int32) {
+	sh := p.sh
+	sh.dst = dst
+	if p.wts != nil {
+		sh.wcsr.RowsWithout(srcs, dst, int32(u), &sh.fs)
+	} else {
+		sh.csr.RowsWithout(srcs, dst, int32(u), &sh.fs)
+	}
+	clear(dst) // drop the views: the rows may be released before the next fill
+	p.ctr.rowsRefilled.Add(int64(len(srcs)))
+}
+
+// syncEntry brings entry e in step with d and the synced D: in(u) and
+// the offsets, then — if D's version moved — the damage test, the
+// component labels and the private rows, and finally the derived state
+// (inMin, SUM memo, level sets, stability streak) from the candidates
+// the sync staled.
+func (p *CachePool) syncEntry(e *poolEntry, d *graph.Digraph) {
+	dv, sh := e.dv, p.sh
+	u, n := dv.u, p.game.N()
+	mark := sh.mark
 	aid, agen := d.Anchor()
-	return aid == e.aid && agen == e.agen
+	sameContent := aid == e.aid && agen == e.agen
+	// in(u) can only have moved if u was an endpoint of some mutation.
+	inSame := true
+	if !sameContent && (e.graph != d || d.TouchedSince(u, e.gen)) {
+		if in := d.In(u); !slices.Equal(in, dv.in) {
+			dv.in, inSame = in, false
+		}
+	}
+	// A reweighted pair {u,x} moves only x's offset; any other one may
+	// have reweighted an edge of G-u.
+	reweighted := false
+	if p.wts != nil && dv.wgen != p.wts.Gen() {
+		changes, ok := p.wts.ChangesSince(dv.wgen)
+		for _, ch := range changes {
+			if int(ch.U) == u || int(ch.V) == u {
+				x := int(ch.U) + int(ch.V) - u
+				dv.woff[x] = ch.New - 1
+				mark[x] = true
+			} else {
+				reweighted = true
+			}
+		}
+		if !ok {
+			reweighted = true
+			old := slices.Clone(dv.woff)
+			dv.rebuildWoff()
+			for v, o := range old {
+				if dv.woff[v] != o {
+					mark[v] = true
+				}
+			}
+		}
+		dv.wgen = p.wts.Gen()
+	}
+	moved := dv.dver != sh.ver
+	if moved {
+		// intact: no edge of G-u moved since the entry synced, so its
+		// private rows are still exact.
+		intact := !reweighted && sameContent
+		if !intact && !reweighted && e.graph == d {
+			dl, ok := d.DeltaSince(e.gen, u, 0)
+			intact = ok && !dl.Oversized && len(dl.Removed)+len(dl.Added) == 0
+		}
+		p.syncRows(dv, intact)
+	}
+	anchorStale := false
+	for _, v := range dv.in {
+		anchorStale = anchorStale || mark[v]
+	}
+	stale := sh.stale[:0]
+	for v, m := range mark {
+		if m {
+			stale = append(stale, int32(v))
+			mark[v] = false
+		}
+	}
+	sh.stale = stale
+	if 4*len(stale) > n {
+		dv.memo = nil // a heavy sync: the memo would not pay for its upkeep
+		dv.stable = 0
+	} else {
+		dv.memoRepair(stale, inSame)
+		dv.noteStable()
+	}
+	if !inSame || anchorStale {
+		dv.rebuildInMin()
+		dv.inLv = nil
+	}
+	if !moved && inSame && len(stale) == 0 {
+		p.ctr.stampSkips.Add(1)
+	}
+}
+
+// syncRows re-runs dv's damage test against D and installs the new
+// private rows, marking in sh.mark every candidate whose row (as row(v)
+// reads it) may have changed: a shared row whose content moved since
+// the entry synced, a private row whose content moved, and a row that
+// moved between private and shared. intact reports that G-u is
+// unchanged since the entry synced: rows damaged before keep their
+// content and the labels stand.
+func (p *CachePool) syncRows(dv *Deviator, intact bool) {
+	sh := p.sh
+	u, n := dv.u, p.game.N()
+	damaged := p.damage(u)
+	need := len(damaged) * n
+	staged := getInt32(need) // transient: the new rows beside the old
+	refill, dst := sh.refill[:0], sh.dst[:0]
+	for i, s := range damaged {
+		slot := staged[i*n : (i+1)*n]
+		if k := int(dv.priv[s]); intact && k >= 0 {
+			copy(slot, dv.rows[k*n:(k+1)*n])
+			continue
+		}
+		refill, dst = append(refill, s), append(dst, slot)
+	}
+	sh.refill = refill
+	p.fillPrivate(u, refill, dst)
+	newK := sh.priv
+	for v := range newK {
+		newK[v] = -1
+	}
+	for i, s := range damaged {
+		newK[s] = int32(i)
+	}
+	privChanged := false
+	for v := 0; v < n; v++ {
+		if v == u {
+			continue
+		}
+		ok, nk := int(dv.priv[v]), int(newK[v])
+		switch {
+		case ok < 0 && nk < 0:
+			if sh.rowVer[v] > dv.dver {
+				sh.mark[v] = true
+			}
+		case ok >= 0 && nk >= 0:
+			if !slices.Equal(dv.rows[ok*n:(ok+1)*n], staged[nk*n:(nk+1)*n]) {
+				sh.mark[v] = true
+				privChanged = true
+			}
+		default:
+			sh.mark[v] = true
+			privChanged = true
+		}
+	}
+	copy(dv.priv, newK)
+	if cap(dv.rows) < need || cap(dv.rows) > 2*need {
+		dv.rows = make([]int32, need)
+	}
+	dv.rows = dv.rows[:need]
+	copy(dv.rows, staged)
+	putInt32(staged)
+	if privChanged {
+		dv.lc = nil
+	}
+	if !intact {
+		p.relabel(dv)
+	}
+	dv.dver = sh.ver
+}
+
+// account recharges D's state and entry e (nil: none) at their current
+// sizes and reports whether the pool is within budget. Over budget, e
+// is evicted — or, if that is not enough, every entry and D with them.
+func (p *CachePool) account(e *poolEntry) bool {
+	p.charge(&p.shBytes, p.sharedBytes())
+	if e != nil {
+		p.charge(&e.bytes, e.dv.retainedBytes())
+	}
+	if p.used.Load() <= p.budget {
+		return true
+	}
+	if e != nil {
+		p.evict(e)
+		if p.used.Load() <= p.budget {
+			return false
+		}
+	}
+	for _, e := range p.entries {
+		p.evict(e)
+	}
+	p.sh = nil
+	p.charge(&p.shBytes, 0)
+	return false
+}
+
+// charge moves the bytes charged at *at to b.
+func (p *CachePool) charge(at *int64, b int64) {
+	p.used.Add(b - *at)
+	*at = b
+}
+
+// evict releases e's buffers and uncharges them; its player is served
+// unpooled until a later acquisition fits the budget again.
+func (p *CachePool) evict(e *poolEntry) {
+	p.charge(&e.bytes, 0)
+	delete(p.entries, e.dv.u)
+	e.dv.releaseOwned()
+}
+
+// settle charges what the scan on u's entry grew (Deviator.Release).
+func (p *CachePool) settle(u int) {
+	if e, ok := p.entries[u]; ok {
+		p.account(e)
+	}
+}
+
+// sharedBytes is every byte D's state retains (0 without D).
+func (p *CachePool) sharedBytes() int64 {
+	sh := p.sh
+	if sh == nil {
+		return 0
+	}
+	b := 4*int64(cap(sh.dist)+cap(sh.csr.Indptr)+cap(sh.csr.Nbrs)+cap(sh.wcsr.Indptr)+cap(sh.wcsr.Nbrs)+cap(sh.wcsr.W)) +
+		8*int64(cap(sh.rowVer)) +
+		4*int64(cap(sh.damaged)+cap(sh.refill)+cap(sh.priv)+cap(sh.stale)+cap(sh.queue)) +
+		24*int64(cap(sh.dst)) + int64(cap(sh.mark))
+	if sh.lc != nil {
+		b += sh.lc.Bytes()
+	}
+	return b
+}
+
+// retainedBytes is every byte a pool entry retains: its private rows
+// and level sets, the row index, inMin, offsets, labels, in(u), and the
+// SUM memo and bounds.
+func (dv *Deviator) retainedBytes() int64 {
+	b := 4*int64(cap(dv.rows)+cap(dv.priv)+cap(dv.inMin)+cap(dv.woff)) +
+		8*int64(cap(dv.label)+cap(dv.in)+cap(dv.sumSufIn)) + int64(cap(dv.seen)) +
+		24*int64(cap(dv.sumSufT))
+	for _, t := range dv.sumSufT {
+		b += 8 * int64(cap(t))
+	}
+	if dv.lc != nil {
+		b += dv.lc.Bytes()
+	}
+	if dv.inLv != nil {
+		b += dv.inLv.Bytes()
+	}
+	if dv.memo != nil {
+		b += 32 * int64(cap(dv.memo.rounds))
+		for _, r := range dv.memo.rounds {
+			b += 8 * int64(cap(r.costs))
+		}
+	}
+	return b
 }
 
 // SkipResponse reports whether player u's whole best-response scan can
@@ -481,28 +878,27 @@ func (p *CachePool) ResetResponseMemo() {
 	}
 }
 
-// Close recycles every pooled matrix into the global allocator and
+// Close recycles every pooled buffer into the global allocator and
 // marks the pool closed: further Invalidate/Acquire/Stats calls and a
 // second Close are defined no-ops that never touch the recycled
-// matrices (Acquire degrades to handing out plain Deviators). Nil-safe.
+// buffers (Acquire degrades to handing out plain Deviators). Nil-safe.
 func (p *CachePool) Close() {
 	if p == nil || p.closed {
 		return
 	}
 	p.closed = true
-	for u, e := range p.entries {
-		e.dv.releaseOwned()
-		delete(p.entries, u)
+	for _, e := range p.entries {
+		p.evict(e)
 	}
-	p.used.Store(0)
+	p.sh = nil
+	p.charge(&p.shBytes, 0)
 	p.resp = nil
-	p.fresh, p.gOf = [2]*poolEntry{}, nil // release the donors and the graph
 }
 
-// BytesUsed returns the bytes of distance matrices currently held by
-// pooled entries. Like Stats it is safe to read at any time from any
-// goroutine — the serve memory governor polls it across sessions while
-// their pools are in use. Nil-safe.
+// BytesUsed returns the bytes the pool currently holds: D's state and
+// every entry's (see account). Like Stats it is safe to read at any
+// time from any goroutine — the serve memory governor polls it across
+// sessions while their pools are in use. Nil-safe.
 func (p *CachePool) BytesUsed() int64 {
 	if p == nil {
 		return 0
@@ -537,7 +933,6 @@ func (p *CachePool) Stats() PoolStats {
 		StampSkips:   p.ctr.stampSkips.Load(),
 		DeltaRepairs: p.ctr.deltaRepairs.Load(),
 		Resyncs:      p.ctr.resyncs.Load(),
-		Derives:      p.ctr.derives.Load(),
 		MemoHits:     p.ctr.memoHits.Load(),
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,10 +17,12 @@ func mutateRandomPlayer(g *Game, d *graph.Digraph, rng *rand.Rand) int {
 	return m
 }
 
-// Repair after arbitrary accumulated moves must leave the Deviator
-// bit-identical to one built fresh against the mutated graph: matrix,
-// inMin, component structure, and every evaluation — across all 8
-// generator families and both versions.
+// A pool entry synced after arbitrary accumulated moves must read
+// exactly the rows of a Deviator built fresh against the mutated graph
+// (outside column u), with the same inMin and component structure, and
+// evaluate every strategy as plain BFS does — across all 8 generator
+// families, both versions, and graphs with and without a journal, with
+// the MAX level sets kept through the syncs.
 func TestPropertyRepairMatchesRebuildAcrossGenerators(t *testing.T) {
 	rng := rand.New(rand.NewSource(8001))
 	for round := 0; round < 4; round++ {
@@ -28,48 +31,54 @@ func TestPropertyRepairMatchesRebuildAcrossGenerators(t *testing.T) {
 				g := GameOf(inst.d, version)
 				n := g.N()
 				d := inst.d.Clone()
-				u := rng.Intn(n)
-				dv := NewDeviator(g, d, u)
-				if !dv.EnsureCache(1 << 40) {
-					t.Fatalf("%s: cache refused", inst.name)
+				if round%2 == 0 {
+					d.StartJournal(0)
 				}
-				dv.ensureLevels() // force the MAX level cache through repairs too
+				u := rng.Intn(n)
+				pool := NewCachePool(g, 0)
+				dv := pool.Acquire(d, u)
+				dv.ensureLevels() // force the level sets through the syncs too
+				dv.Release()
 				for step := 0; step < 4; step++ {
 					moves := 1 + rng.Intn(3)
 					for i := 0; i < moves; i++ {
 						mutateRandomPlayer(g, d, rng)
 					}
-					dv.Repair(d)
+					pool.Invalidate()
+					pool.Acquire(d, rng.Intn(n)).Release() // D syncs before u's turn, sometimes
+					dv = pool.Acquire(d, u)
 					fresh := NewDeviator(g, d, u)
 					if !fresh.EnsureCache(1 << 40) {
 						t.Fatalf("%s: fresh cache refused", inst.name)
 					}
-					for i := range fresh.rows {
-						if dv.rows[i] != fresh.rows[i] {
-							t.Fatalf("%s %v u=%d step=%d: repaired rows[%d,%d]=%d, fresh=%d",
-								inst.name, version, u, step, i/n, i%n, dv.rows[i], fresh.rows[i])
+					got, want := viewRows(dv), viewRows(fresh)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s %v u=%d step=%d: pooled rows[%d,%d]=%d, fresh=%d",
+								inst.name, version, u, step, i/n, i%n, got[i], want[i])
 						}
 					}
 					for i := range fresh.inMin {
 						if dv.inMin[i] != fresh.inMin[i] {
-							t.Fatalf("%s %v u=%d step=%d: repaired inMin[%d]=%d, fresh=%d",
+							t.Fatalf("%s %v u=%d step=%d: pooled inMin[%d]=%d, fresh=%d",
 								inst.name, version, u, step, i, dv.inMin[i], fresh.inMin[i])
 						}
 					}
-					if dv.comps != fresh.comps {
-						t.Fatalf("%s %v u=%d: repaired comps=%d, fresh=%d", inst.name, version, u, dv.comps, fresh.comps)
+					if dv.comps != fresh.comps || !equalInts(dv.label, fresh.label) {
+						t.Fatalf("%s %v u=%d: pooled comps=%d, fresh=%d", inst.name, version, u, dv.comps, fresh.comps)
 					}
 					plain := NewDeviator(g, d, u)
 					for k := 0; k <= 3 && k <= n-1; k++ {
 						s := randomStrategy(n, u, k, rng)
 						if got, want := dv.Eval(s), plain.Eval(s); got != want {
-							t.Fatalf("%s %v u=%d s=%v: repaired eval %d, BFS %d",
+							t.Fatalf("%s %v u=%d s=%v: pooled eval %d, BFS %d",
 								inst.name, version, u, s, got, want)
 						}
 					}
 					fresh.Release()
+					dv.Release()
 				}
-				dv.Release()
+				pool.Close()
 			}
 		}
 	}
@@ -141,16 +150,19 @@ func TestPooledReleaseKeepsCache(t *testing.T) {
 	}
 }
 
-// A pool with room for a single matrix must pool exactly one player
-// (static admission: dynamics visit players cyclically, where eviction
-// policies degenerate to churn) and serve everyone else with plain,
-// still-correct Deviators.
+// A pool with room for the shared matrix and a single entry must pool
+// exactly one player (static admission: dynamics visit players
+// cyclically, where eviction policies degenerate to churn) and serve
+// everyone else with plain, still-correct Deviators.
 func TestPoolAdmissionUnderPressure(t *testing.T) {
 	g := UniformGame(10, 1, SUM)
 	rng := rand.New(rand.NewSource(8004))
 	d := graph.RandomOutDigraph(g.Budgets, rng)
-	per := 4 * int64(10) * int64(11)
-	pool := NewCachePool(g, per) // exactly one pooled matrix
+	probe := NewCachePool(g, 0)
+	probe.Acquire(d, 0).Release()
+	budget := probe.BytesUsed() // the shared matrix plus player 0's entry
+	probe.Close()
+	pool := NewCachePool(g, budget)
 	defer pool.Close()
 	a := pool.Acquire(d, 0)
 	if !a.HasCache() {
@@ -175,5 +187,129 @@ func TestPoolAdmissionUnderPressure(t *testing.T) {
 	s := randomStrategy(10, 1, 1, rng)
 	if b.Eval(s) != plain.Eval(s) {
 		t.Fatal("unpooled Deviator evaluates wrong")
+	}
+}
+
+// retained sums, by reflection, the capacity in bytes of every slice
+// reachable from v through struct fields, pointers to structs and slice
+// elements — an independent recount of what CachePool.account charges.
+func retained(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return retained(v.Elem())
+	case reflect.Struct:
+		var b int64
+		for i := 0; i < v.NumField(); i++ {
+			b += retained(v.Field(i))
+		}
+		return b
+	case reflect.Slice:
+		b := int64(v.Cap()) * int64(v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			b += retained(v.Index(i))
+		}
+		return b
+	}
+	return 0
+}
+
+// recount is the independent recount of p's retained bytes: D's state
+// without the graph kernels' scratch, its refill destinations counted as
+// views only, and every entry without the references it shares (game,
+// pool, weights, D) or the oracle-path state pool entries never build.
+func recount(p *CachePool) int64 {
+	var b int64
+	if p.sh != nil {
+		sh := *p.sh
+		b += 24 * int64(cap(sh.dst))
+		sh.of, sh.ds, sh.wds, sh.fs, sh.dst = nil, nil, nil, graph.FillScratch{}, nil
+		b += retained(reflect.ValueOf(sh))
+	}
+	for _, e := range p.entries {
+		dv := *e.dv
+		dv.game, dv.pool, dv.wts, dv.shared = nil, nil, nil, nil
+		b += retained(reflect.ValueOf(dv))
+	}
+	return b
+}
+
+// Budgets bound real bytes: after random move and reweight sequences
+// over the 8 generator families, in both versions and both tiers,
+// BytesUsed must equal the independent recount of every retained slice
+// after each acquisition and release; and a pool whose budget is half
+// of what the same sequence held unbounded must never exceed it, while
+// every response still matches the oracle.
+func TestPoolBytesUsedMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(8005))
+	tight := 0
+	for _, inst := range generatorCorpus(rng) {
+		for _, version := range []Version{SUM, MAX} {
+			for _, weighted := range []bool{false, true} {
+				seed := rng.Int63()
+				var peak int64
+				for _, budget := range []int64{0, -1} {
+					if budget < 0 {
+						budget = peak / 2
+					}
+					r := rand.New(rand.NewSource(seed))
+					d := inst.d.Clone()
+					d.StartJournal(8)
+					g := GameOf(d, version)
+					n := g.N()
+					var wts *graph.Weights
+					if weighted {
+						wts = graph.NewWeights(n, seed, 6)
+					}
+					pool := NewWeightedCachePool(g, budget, wts)
+					check := func(when string, step int) {
+						t.Helper()
+						used := pool.BytesUsed()
+						if got := recount(pool); used != got {
+							t.Fatalf("%s %v weighted=%v budget=%d step %d %s: BytesUsed %d, recount %d",
+								inst.name, version, weighted, budget, step, when, used, got)
+						}
+						if budget > 0 && used > budget {
+							t.Fatalf("%s %v weighted=%v step %d %s: BytesUsed %d over budget %d",
+								inst.name, version, weighted, step, when, used, budget)
+						}
+						peak = max(peak, used)
+					}
+					for step := 0; step < 24; step++ {
+						switch m := r.Intn(n); r.Intn(3) {
+						case 0:
+							d.SetOut(m, randomStrategy(n, m, g.Budgets[m], r))
+							pool.Invalidate()
+						case 1:
+							if v := r.Intn(n); weighted && v != m {
+								if err := wts.Set(m, v, 1+r.Int31n(6)); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+						u := r.Intn(n)
+						dv := pool.Acquire(d, u)
+						check("after Acquire", step)
+						if g.Budgets[u] > 0 {
+							sameBR(t, inst.name+" pooled greedy", GreedyDeviatorResponder(g, d, dv), oracle(g, d, u, wts, (*Game).greedyOn))
+						}
+						dv.Release()
+						check("after Release", step)
+					}
+					if budget > 0 && pool.Stats().Unpooled > 0 {
+						tight++
+					}
+					pool.Close()
+					if pool.BytesUsed() != 0 {
+						t.Fatalf("%s: Close left %d bytes charged", inst.name, pool.BytesUsed())
+					}
+				}
+			}
+		}
+	}
+	if tight == 0 {
+		t.Fatal("no tight budget ever served a player unpooled")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -64,13 +63,15 @@ func TestPoolLifecycleAfterClose(t *testing.T) {
 }
 
 // Stamp-skip and journal-delta acquisition must produce Deviator state
-// bit-identical to forced-diff acquisition — distance rows, inMin fold,
-// colMin floor, SUM memo, stability streak — and identical best
-// responses, across all 8 generator families under random rewire /
-// no-op / over-invalidation interleavings. The forced-diff reference is
-// a pool over a journal-less twin of the graph whose generation mirror
-// advances every step: every stale entry resyncs (UnderlyingWithout +
-// DiffUnd), including on steps where nothing moved.
+// bit-identical to forced-refill acquisition — the rows the kernels
+// read, the private row set, inMin fold, SUM memo, stability streak,
+// component labels — and identical best responses, across all 8
+// generator families under random rewire / no-op / over-invalidation
+// interleavings. The forced-refill reference is a pool over a
+// journal-less twin of the graph whose generation mirror advances every
+// step: its shared matrix is filled whole and every stale entry re-runs
+// its damage test and refills its private rows, including on steps
+// where nothing moved.
 func TestPropertyStampSkipMatchesForcedDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(9002))
 	for _, inst := range generatorCorpus(rng) {
@@ -113,26 +114,8 @@ func TestPropertyStampSkipMatchesForcedDiff(t *testing.T) {
 						t.Fatalf("%s %v u=%d step=%d: stamped %+v, diffed %+v",
 							inst.name, version, u, step, brS, brD)
 					}
-					if !reflect.DeepEqual(ds.rows, dd.rows) {
-						t.Fatalf("%s %v u=%d step=%d: rows diverged", inst.name, version, u, step)
-					}
-					if !reflect.DeepEqual(ds.inMin, dd.inMin) {
-						t.Fatalf("%s %v u=%d step=%d: inMin diverged", inst.name, version, u, step)
-					}
-					if !reflect.DeepEqual(ds.colMin, dd.colMin) {
-						t.Fatalf("%s %v u=%d step=%d: colMin diverged", inst.name, version, u, step)
-					}
-					if !reflect.DeepEqual(ds.memo, dd.memo) {
-						t.Fatalf("%s %v u=%d step=%d: SUM memo diverged", inst.name, version, u, step)
-					}
-					if ds.stable != dd.stable || ds.sumSufInOK != dd.sumSufInOK {
-						t.Fatalf("%s %v u=%d step=%d: stability state diverged (stable %d/%d, sufInOK %v/%v)",
-							inst.name, version, u, step, ds.stable, dd.stable, ds.sumSufInOK, dd.sumSufInOK)
-					}
-					if rem, add := graph.DiffUnd(ds.base, dd.base, -1); len(rem)+len(add) != 0 {
-						t.Fatalf("%s %v u=%d step=%d: base adjacency diverged (-%v +%v)",
-							inst.name, version, u, step, rem, add)
-					}
+					sameDeviatorState(t, inst.name, version, 1, u, step, ds, dd)
+					samePoolState(t, inst.name, stampPool, diffPool)
 				}
 			}
 			// The stamped pool must actually have exercised the fast paths.

@@ -11,27 +11,25 @@ import "repro/internal/graph"
 // dynamics once PR 4 removed the matrix refills. The pruning layer
 // spends O(n) per round to make most of those passes partial:
 //
-//   - colMin[w] is an entrywise lower bound of every cached row at
-//     column w (the best any candidate anchor could do for vertex w).
-//     It is exact after a fill; Repair keeps it sound incrementally by
-//     folding repaired rows back in — row improvements are captured by
-//     the fold, and rows whose entries grew merely leave the bound
-//     slack, never invalid. A full-matrix refill rebuilds it exactly.
+//   - Every cached row entry plus its offset is at least 0 — the floor
+//     the bounds start from. (A column-min floor over the rows would be
+//     no tighter: every row holds its own source at distance 0.)
 //
 //   - Before a scan, tiered suffix bounds are taken over the running
 //     min-vector vec. The triangle inequality in G-u gives every
 //     candidate v at distance t = vec[v] from the current anchor set a
-//     per-entry floor: some anchor a has d(a,v) = t, and
-//     vec[w] <= d(a,w) <= t + d(v,w) for every w, so
-//     row_v[w] >= vec[w] - t — a candidate close to the anchors cannot
-//     improve any entry by more than t (and when vec[w] is infinite,
-//     row_v[w] is too, since a reaches v). Tier t's suffix array sums
-//     contrib(min(vec[w], max(colMin[w], vec[w]-t))) over w >= p: a
+//     per-entry floor: some anchor a has d(a,v) + off_a = t, and
+//     vec[w] <= d(a,w) + off_a <= t + d(v,w) for every w, so
+//     row_v[w] + off_v >= vec[w] - t — a candidate close to the anchors
+//     cannot improve any entry by more than t (and when vec[w] is
+//     infinite, row_v[w] is too, since a reaches v). Tier t's suffix
+//     array sums contrib(min(vec[w], max(0, vec[w]-t))) over w >= p: a
 //     lower bound on the cost contribution of vertices p..n-1 under
 //     any candidate at distance t, with tiers above sumTierCap falling
-//     back to the colMin-only floor. The bounds are recomputed from
-//     the current vec each round — monotone under candidate extension,
-//     since vec only decreases entrywise as anchors are chosen.
+//     back to the floor alone. Column u (vec[u] = -1) contributes 0
+//     in every tier. The bounds are recomputed from the current vec
+//     each round — monotone under candidate extension, since vec only
+//     decreases entrywise as anchors are chosen.
 //
 //   - Each candidate then runs graph.SumMergeBounded with its tier's
 //     suffix against the incumbent best: hopeless candidates abort on
@@ -54,18 +52,18 @@ import "repro/internal/graph"
 // round's winner. A candidate's round-r cost is a pure function of
 // inMin, the rounds-r prefix of winners and the candidate's own row, so
 // the memo stays exact across movers and rounds for every candidate
-// whose inputs the delta-BFS repair did not touch: Repair drops the
-// whole memo when in(u), an in-anchor row, a winner row or the whole
-// matrix changed, and marks just the candidates whose own rows were
-// repaired otherwise. A settled dynamics round then costs O(n) memo
-// reads per player instead of O(n²) merges — with the floor bounds
-// aborting the (few) stale candidates' rescans early — which is where
-// the headline SUM round speedup comes from.
+// whose row the pool sync did not stale: the sync drops the whole memo
+// when in(u), an in-anchor row, a winner row or most rows changed, and
+// marks just the candidates whose own rows changed otherwise. A settled
+// dynamics round then costs O(n) memo reads per player instead of
+// O(n²) merges — with the floor bounds aborting the (few) stale
+// candidates' rescans early — which is where the headline SUM round
+// speedup comes from.
 
 // sumPrune reports whether SUM evaluation on this Deviator may use the
 // bounded kernel: SUM version with an active distance cache.
 func (dv *Deviator) sumPrune() bool {
-	return dv.game.Version == SUM && dv.rows != nil
+	return dv.game.Version == SUM && dv.HasCache()
 }
 
 // sumPruneScan reports whether a greedy/swap candidate scan should run
@@ -73,61 +71,15 @@ func (dv *Deviator) sumPrune() bool {
 // Deviators that survived a couple of acquisitions, mirroring the
 // useLevels hysteresis. One-shot responders would pay the bound
 // building without a later scan to amortise it, and heavy-move phases
-// (full refills zero the streak) invalidate the memo faster than it
+// (heavy syncs zero the streak) invalidate the memo faster than it
 // pays; both stay on the plain blocked kernel.
 func (dv *Deviator) sumPruneScan() bool {
 	return dv.sumPrune() && dv.pool != nil && dv.stable >= 2
 }
 
-// ensureColMin builds the column-min bound: colMin[w] = min over all
-// sources v of dist_{G-u}(v, w). Row u is excluded — u is never a
-// candidate anchor, and its one finite entry (the zero self-distance)
-// would poison column u, whose true bound for every real candidate is
-// InfDist (no G-u row reaches u).
-func (dv *Deviator) ensureColMin() {
-	if dv.colMin != nil {
-		return
-	}
-	n := dv.game.N()
-	cm := getInt32(n)
-	for i := range cm {
-		cm[i] = graph.InfDist
-	}
-	for v := 0; v < n; v++ {
-		if v != dv.u {
-			graph.MinInto(cm, dv.rows[v*n:(v+1)*n])
-		}
-	}
-	cm[dv.u] = graph.InfDist
-	dv.colMin = cm
-}
-
-// repairColMin keeps colMin sound after RepairRows changed a subset of
-// rows: folding the repaired rows back in captures every improvement;
-// entries that grew only leave the bound slack (still a valid lower
-// bound, pruning just bites less) until the next full refill rebuilds
-// it exactly.
-func (dv *Deviator) repairColMin(st graph.RepairStats) {
-	if dv.colMin == nil {
-		return
-	}
-	if st.FullRefill {
-		putInt32(dv.colMin)
-		dv.colMin = nil // rebuilt lazily, exactly, on next use
-		return
-	}
-	n := dv.game.N()
-	for _, s := range st.Changed {
-		if int(s) != dv.u {
-			graph.MinInto(dv.colMin, dv.rows[int(s)*n:(int(s)+1)*n])
-		}
-	}
-	dv.colMin[dv.u] = graph.InfDist
-}
-
 // sumTierCap bounds the number of distance tiers with their own suffix
 // array; candidates further than sumTierCap-1 from the anchor set fall
-// back to the colMin-only tier. Settled instances have small diameters,
+// back to the floor-only tier. Settled instances have small diameters,
 // so almost every candidate lands in a real tier.
 const sumTierCap = 8
 
@@ -135,45 +87,32 @@ const sumTierCap = 8
 // scan against the running-min vector vec: dv.sumSufT[t][p] becomes the
 // total cost contribution of vertices p..n-1 if every one of them were
 // served at tier t's floor (see the package comment), and
-// dv.sumSufT[sumTierCap] the colMin-only fallback. One O(tiers·n) pass,
+// dv.sumSufT[sumTierCap] the floor-only fallback. One O(tiers·n) pass,
 // amortised over the O(n) candidates of the scan.
 func (dv *Deviator) fillSumBounds(vec []int32) {
 	n := dv.game.N()
-	dv.ensureColMin()
 	if dv.sumSufT == nil {
 		dv.sumSufT = make([][]int64, sumTierCap+1)
 		for t := range dv.sumSufT {
 			dv.sumSufT[t] = make([]int64, n+1)
 		}
 	}
-	cm := dv.colMin
 	cinf := dv.cinf
 	for t := 0; t <= sumTierCap; t++ {
 		dv.sumSufT[t][n] = 0
 	}
 	for w := n - 1; w >= 0; w-- {
 		m := vec[w]
-		// colMin tier: floor min(vec[w], colMin[w]), the universal bound.
-		base := m
-		if cm[w] < base {
-			base = cm[w]
-		}
-		c := cinf
-		if base < graph.InfDist {
-			c = int64(base) + 1
-		}
+		// Floor tier: min(vec[w], 0), the universal bound (-1 only in
+		// column u, which every candidate reads as vec[u]).
+		base := min(m, 0)
 		suf := dv.sumSufT[sumTierCap]
-		suf[w] = suf[w+1] + c
+		suf[w] = suf[w+1] + int64(base) + 1
 		for t := 0; t < sumTierCap; t++ {
 			c := cinf
 			if m < graph.InfDist {
-				// max(colMin[w], vec[w]-t), never above vec[w] since
-				// colMin <= vec entrywise (vec is a min over cached rows).
-				f := m - int32(t)
-				if f < cm[w] {
-					f = cm[w]
-				}
-				c = int64(f) + 1
+				// max(floor, vec[w]-t), never above vec[w].
+				c = int64(max(m-int32(t), base)) + 1
 			}
 			suf := dv.sumSufT[t]
 			suf[w] = suf[w+1] + c
@@ -183,7 +122,7 @@ func (dv *Deviator) fillSumBounds(vec []int32) {
 
 // sufFor picks the tightest sound suffix bound for candidate v in a
 // scan whose bounds were filled from vec: the tier of v's distance to
-// the current anchor set, or the colMin fallback beyond the cap.
+// the current anchor set, or the floor fallback beyond the cap.
 func (dv *Deviator) sufFor(vec []int32, v int) []int64 {
 	if t := vec[v]; t >= 0 && t < sumTierCap {
 		return dv.sumSufT[t]
@@ -255,21 +194,22 @@ func anyKnown(costs []int64) bool {
 	return false
 }
 
-// memoRepair updates the memo after RepairRows: the memo survives a
-// repair exactly when in(u) and every row feeding the running-min
+// memoRepair updates the memo after a pool sync staled the candidates
+// in changed (rows whose content or offset may have moved): the memo
+// survives exactly when in(u) and every row feeding the running-min
 // vectors (the in-anchors and the memoised winners) are untouched; then
-// only the candidates whose own rows changed go stale. inSame reports
-// whether the in(u) anchor list is unchanged.
-func (dv *Deviator) memoRepair(st graph.RepairStats, inSame bool) {
+// only the changed candidates go stale. inSame reports whether the in(u)
+// anchor list is unchanged.
+func (dv *Deviator) memoRepair(changed []int32, inSame bool) {
 	m := dv.memo
 	if m == nil {
 		return
 	}
-	if st.FullRefill || !inSame {
+	if !inSame {
 		dv.memo = nil
 		return
 	}
-	if len(st.Changed) == 0 {
+	if len(changed) == 0 {
 		return
 	}
 	anchor := make(map[int32]bool, len(dv.in)+len(m.rounds))
@@ -281,46 +221,35 @@ func (dv *Deviator) memoRepair(st graph.RepairStats, inSame bool) {
 			anchor[int32(r.chosen)] = true
 		}
 	}
-	for _, s := range st.Changed {
+	for _, s := range changed {
 		if anchor[s] {
 			dv.memo = nil // a vector-feeding row moved: all costs suspect
 			return
 		}
 	}
-	for _, s := range st.Changed {
+	for _, s := range changed {
 		for r := range m.rounds {
 			m.rounds[r].costs[s] = memoStale
 		}
 	}
 }
 
-// inMinSuffix returns the memoised suffix bound against inMin alone —
-// the bound EvalBounded amortises over the many single-candidate calls
-// of the enumerate scans. rebuildInMin (any fill or repair) invalidates
-// it.
+// inMinSuffix returns the floor-only suffix bound against inMin — the
+// bound EvalBounded amortises over the many single-candidate calls of
+// the enumerate scans: every vertex but u contributes at least 1 (the
+// floor 0 plus one hop), u contributes 0. It depends on n and u alone,
+// so it is built once.
 func (dv *Deviator) inMinSuffix() []int64 {
-	n := dv.game.N()
 	if dv.sumSufIn == nil {
-		dv.sumSufIn = make([]int64, n+1)
-	}
-	if !dv.sumSufInOK {
-		dv.ensureColMin()
-		cm := dv.colMin
-		cinf := dv.cinf
-		suf := dv.sumSufIn
-		suf[n] = 0
+		n := dv.game.N()
+		suf := make([]int64, n+1)
 		for w := n - 1; w >= 0; w-- {
-			m := dv.inMin[w]
-			if cm[w] < m {
-				m = cm[w]
+			suf[w] = suf[w+1] + 1
+			if w == dv.u {
+				suf[w]--
 			}
-			c := cinf
-			if m < graph.InfDist {
-				c = int64(m) + 1
-			}
-			suf[w] = suf[w+1] + c
 		}
-		dv.sumSufInOK = true
+		dv.sumSufIn = suf
 	}
 	return dv.sumSufIn
 }
@@ -329,34 +258,33 @@ func (dv *Deviator) inMinSuffix() []int64 {
 // min-vector vec under a pruning budget (extra < 0 evaluates vec
 // alone). It returns the exact SUM cost, or pruned=true certifying the
 // cost strictly exceeds budget. suf must be a sound suffix bound for
-// vec (fillSumSuffix of vec, or of any entrywise-greater vector).
+// vec (fillSumBounds of vec, or of any entrywise-greater vector).
 //
-// The kernel works in total-contribution space, where the source's own
-// entry (vec[u] = InfDist, unreachable by construction) contributes one
-// cinf that the SUM cost excludes — hence the cinf offset on both the
-// budget and the result.
+// The kernel works in total-contribution space, which equals the SUM
+// cost: the source's own entry (vec[u] = -1) contributes 0.
 func (dv *Deviator) sumEvalBounded(vec []int32, extra int, suf []int64, budget int64) (int64, bool) {
 	n := len(vec)
 	var row []int32
+	var off int32
 	if extra >= 0 {
-		row = dv.rows[extra*n : (extra+1)*n]
+		row, off = dv.row(extra)
 	}
 	if budget > 1<<62 {
 		// An unbounded scan (budget seeded at MaxInt64): clamp so the
-		// cinf offset cannot overflow — no real total reaches 2^62.
+		// running totals cannot overflow — no real total reaches 2^62.
 		budget = 1 << 62
 	}
 	cinf := dv.cinf
-	if suf[0] > budget+cinf {
+	if suf[0] > budget {
 		// The tier's total already exceeds the budget: the candidate is
 		// hopeless without reading a single row entry.
 		return 0, true
 	}
-	sum, reached, pruned := graph.SumMergeBounded(vec, row, suf, cinf, budget+cinf)
+	sum, reached, pruned := graph.SumMergeBounded(vec, row, off, suf, cinf, budget)
 	if pruned {
 		return 0, true
 	}
-	return sum + int64(n-reached-1)*cinf, false
+	return sum + int64(n-reached)*cinf, false
 }
 
 // EvalBounded is Eval under a pruning budget: it returns Eval(strategy),
@@ -387,7 +315,7 @@ func (dv *Deviator) EvalBounded(strategy []int, bound int64) (cost int64, pruned
 	defer putInt32(vec)
 	copy(vec, dv.inMin)
 	for _, v := range strategy[:len(strategy)-1] {
-		graph.MinInto(vec, dv.rows[v*n:(v+1)*n])
+		dv.mergeRow(vec, v)
 	}
 	// The suffix bound against inMin stays valid: vec only decreased.
 	return dv.sumEvalBounded(vec, strategy[len(strategy)-1], suf, bound)

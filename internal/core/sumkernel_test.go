@@ -126,41 +126,51 @@ func TestPropertyEvalBoundedSound(t *testing.T) {
 }
 
 // TestSumKernelColMinRepair drives a pooled SUM Deviator through a
-// sequence of rewires and checks the repaired column-min bound stays a
-// sound lower bound of every row (the invariant all pruning rests on),
-// and that responders on the repaired pool still match the oracle
+// sequence of rewires and checks that the tier suffix bounds built over
+// its inMin stay sound lower bounds of every candidate's true
+// contribution suffix (the invariant all pruning rests on; the test
+// keeps the name of the column-min floor the bounds once started
+// from), and that responders on the synced pool still match the oracle
 // exactly.
 func TestSumKernelColMinRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(7103))
 	g := UniformGame(24, 2, SUM)
+	n := g.N()
 	d := graph.RandomOutDigraph(g.Budgets, rng)
+	d.StartJournal(0)
 	pool := NewCachePool(g, 0)
 	defer pool.Close()
 	for step := 0; step < 12; step++ {
 		// Rewire a random player, acquire a random other player.
-		mover := rng.Intn(g.N())
-		d.SetOut(mover, randomStrategy(g.N(), mover, g.Budgets[mover], rng))
+		mover := rng.Intn(n)
+		d.SetOut(mover, randomStrategy(n, mover, g.Budgets[mover], rng))
 		pool.Invalidate()
-		u := rng.Intn(g.N())
+		u := rng.Intn(n)
 		dv := pool.Acquire(d, u)
 		br := g.greedyOn(dv, d)
-		dv.Release()
-
-		if dv.colMin != nil {
-			n := g.N()
-			for v := 0; v < n; v++ {
-				if v == u {
-					continue
+		dv.fillSumBounds(dv.inMin)
+		for v := 0; v < n; v++ {
+			if v == u {
+				continue
+			}
+			suf := dv.sufFor(dv.inMin, v)
+			row, off := dv.row(v)
+			var tail int64
+			for w := n - 1; w >= 0; w-- {
+				m := min(dv.inMin[w], row[w]+off)
+				if m < graph.InfDist {
+					tail += int64(m) + 1
+				} else {
+					tail += dv.cinf
 				}
-				for w := 0; w < n; w++ {
-					if dv.colMin[w] > dv.rows[v*n+w] {
-						t.Fatalf("step %d: colMin[%d]=%d above row %d entry %d",
-							step, w, dv.colMin[w], v, dv.rows[v*n+w])
-					}
+				if suf[w] > tail {
+					t.Fatalf("step %d u=%d candidate %d: bound %d above the true suffix %d at %d",
+						step, u, v, suf[w], tail, w)
 				}
 			}
 		}
-		sameBR(t, "pooled greedy after repair", br, oracle(g, d, u, nil, (*Game).greedyOn))
+		dv.Release()
+		sameBR(t, "pooled greedy after sync", br, oracle(g, d, u, nil, (*Game).greedyOn))
 	}
 }
 

@@ -49,8 +49,8 @@ func randStrategy(n, u, b int, rng *rand.Rand) []int {
 	return s
 }
 
-// The weighted cached evaluation (offset-adjusted rows + the unchanged
-// min-merge kernels) must agree with the per-candidate Dijkstra
+// The weighted cached evaluation (raw rows read at their offsets by the
+// unchanged min-merge kernels) must agree with the per-candidate Dijkstra
 // fallback on every family, weight range and cost version — and with
 // the unweighted engine at unit weights.
 func TestWeightedEvalCachedVsDijkstra(t *testing.T) {
@@ -132,10 +132,9 @@ func TestWeightedResponderKnobMatrix(t *testing.T) {
 
 // weightedStream runs a mixed mutation stream (rewires + weight sets)
 // against a weighted pool, comparing every pooled greedy response with
-// the oracle — the end-to-end pin of syncWeights, the weighted repair
-// and the pool ladder. Without a journal every entry whose graph moved
-// resyncs (UnderlyingWithout + DiffUnd) instead of taking the journal's
-// delta.
+// the oracle — the end-to-end pin of the weighted shared-matrix repair,
+// the offset sync and the pool ladder. Without a journal every change
+// fills the shared matrix whole instead of taking the journal's delta.
 func weightedStream(t *testing.T, version Version, journal bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(64))
@@ -175,16 +174,17 @@ func weightedStream(t *testing.T, version Version, journal bool) {
 				oracle(g, d, u, wts, (*Game).greedyOn))
 		}
 	}
-	// Entries are built once per player (filled, or derived from a
-	// donor) and repaired from then on.
+	// Entries are built once per player and synced from then on.
 	st := pool.Stats()
 	if st.Acquires-st.Hits-st.Unpooled != int64(n) {
-		t.Fatalf("pool rebuilt entries instead of repairing: %+v", st)
+		t.Fatalf("pool rebuilt entries instead of syncing: %+v", st)
 	}
-	if journal && (st.Derives == 0 || st.DeltaRepairs == 0) {
-		t.Fatalf("journaled stream skipped the derive or delta-repair rung: %+v", st)
+	if journal && (st.RowsRefilled == 0 || st.DeltaRepairs == 0) {
+		t.Fatalf("journaled stream skipped the private-refill or delta-repair rung: %+v", st)
 	}
-	if !journal && (st.Resyncs == 0 || st.DeltaRepairs != 0) {
+	// Without a journal every topology change resyncs; weight-only
+	// steps still repair from the weights change log.
+	if !journal && st.Resyncs == 0 {
 		t.Fatalf("journal-less stream did not resync: %+v", st)
 	}
 }

@@ -75,13 +75,13 @@ func (wg *VertexWeighted) WeightedBestResponsePooled(u int, maxCandidates int64,
 	var w0 []int64
 	if cached {
 		w0 = append([]int64(nil), wg.W...)
-		w0[u] = 0 // the source never pays for itself; vec[u] is InfDist
+		w0[u] = 0 // the source never pays for itself (vec[u] = -1 reads as distance 0)
 		vec := getInt32(n)
 		copy(vec, dv.inMin)
 		for _, v := range cur {
-			graph.MinInto(vec, dv.rows[v*n:(v+1)*n])
+			dv.mergeRow(vec, v)
 		}
-		res.Current = graph.WeightedSumMerge(vec, nil, w0, cinf)
+		res.Current = graph.WeightedSumMerge(vec, nil, 0, w0, cinf)
 		putInt32(vec)
 		vecs = make([][]int32, b)
 		if b > 0 {
@@ -110,10 +110,10 @@ func (wg *VertexWeighted) WeightedBestResponsePooled(u int, maxCandidates int64,
 				wg.D.SetOut(u, trial)
 				c = wg.Cost(u)
 			case b == 0:
-				c = graph.WeightedSumMerge(dv.inMin, nil, w0, cinf)
+				c = graph.WeightedSumMerge(dv.inMin, nil, 0, w0, cinf)
 			default:
-				last := trial[b-1]
-				c = graph.WeightedSumMerge(vecs[b-1], dv.rows[last*n:(last+1)*n], w0, cinf)
+				row, off := dv.row(trial[b-1])
+				c = graph.WeightedSumMerge(vecs[b-1], row, off, w0, cinf)
 			}
 			res.Explored++
 			if c < res.Cost {
@@ -126,8 +126,7 @@ func (wg *VertexWeighted) WeightedBestResponsePooled(u int, maxCandidates int64,
 			comb[at] = i
 			if cached && at < b-1 {
 				copy(vecs[at+1], vecs[at])
-				v := targets[i]
-				graph.MinInto(vecs[at+1], dv.rows[v*n:(v+1)*n])
+				dv.mergeRow(vecs[at+1], targets[i])
 			}
 			rec(i+1, at+1)
 		}

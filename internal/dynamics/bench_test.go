@@ -16,23 +16,21 @@ import (
 // SUM} × n:
 //
 //   - converge: one whole run from a random profile to convergence,
-//     where heavy move traffic keeps the fills, repairs and derivations
-//     busy;
+//     where heavy move traffic keeps the shared-matrix repairs and the
+//     private-row refills busy;
 //   - settled: one round over the converged profile on a warm pool,
 //     which must be O(movers) = O(1): stamp skips and memo hits only.
 //
 // Before timing, every row asserts that a warm settled round does no
-// matrix work (no fills, resyncs, delta repairs, derivations or weight
-// repairs), and the n=128 rows — the CI gate — that the pooled converge
-// run matches the oracle run (runOracle) exactly. The n>=512 rows run
-// with BENCH_LARGE=1, the 4.3 GiB full-pool row with BENCH_FULLPOOL=1.
+// row work (no fills, resyncs, repairs or refilled rows), the n=128
+// rows — the CI gate — that the pooled converge run matches the oracle
+// run (runOracle) exactly, and the n=1024 row that the default budget
+// pools every player. The n>=512 rows run with BENCH_LARGE=1.
 func BenchmarkDynamicsRound(b *testing.B) {
 	for _, row := range []struct {
 		n        int
 		ver      core.Version
 		weighted bool
-		pool     int64 // pool budget bytes; 0 = DefaultPoolBudget
-		tag      string
 	}{
 		{n: 128, ver: core.SUM},
 		{n: 128, ver: core.MAX},
@@ -40,10 +38,8 @@ func BenchmarkDynamicsRound(b *testing.B) {
 		{n: 512, ver: core.SUM},
 		{n: 512, ver: core.MAX},
 		{n: 512, ver: core.SUM, weighted: true},
-		// At n=1024 the default 1 GiB budget pools ~244 of 1024 players;
-		// the full-pool row pools everyone.
+		// The default 1 GiB budget pools every player of n=1024.
 		{n: 1024, ver: core.MAX},
-		{n: 1024, ver: core.MAX, pool: 5 << 30, tag: "-fullpool"},
 	} {
 		kind := row.ver.String()
 		if row.weighted {
@@ -51,31 +47,35 @@ func BenchmarkDynamicsRound(b *testing.B) {
 		}
 		// One nested level per row, so -bench filters (e.g. the CI n=128
 		// gate) prune the expensive settle runs of the other rows.
-		b.Run(fmt.Sprintf("n=%d/%s%s", row.n, kind, row.tag), func(b *testing.B) {
-			if row.pool > 0 && os.Getenv("BENCH_FULLPOOL") == "" {
-				b.Skip("set BENCH_FULLPOOL=1 to run the 4.3 GiB full-pool row")
-			}
+		b.Run(fmt.Sprintf("n=%d/%s", row.n, kind), func(b *testing.B) {
 			if row.n >= 512 && os.Getenv("BENCH_LARGE") == "" {
 				b.Skip("set BENCH_LARGE=1 to run the n>=512 rows")
 			}
 			g := core.UniformGame(row.n, 2, row.ver)
 			start := RandomProfile(g, rand.New(rand.NewSource(9)))
 			opts := Options{
-				Responder:  core.GreedyResponder,
-				Cached:     core.GreedyDeviatorResponder,
-				PoolBudget: row.pool,
-				MaxRounds:  600,
+				Responder: core.GreedyResponder,
+				Cached:    core.GreedyDeviatorResponder,
+				MaxRounds: 600,
 			}
 			if row.weighted {
 				opts.Weights = graph.NewWeights(row.n, 9, 8)
 				opts.Responder = core.WeightedGreedyResponder(opts.Weights)
 			}
-			pre, err := Run(g, start, opts)
+			pool := core.NewWeightedCachePool(g, 0, opts.Weights)
+			pooled := opts
+			pooled.Pool = pool
+			pre, err := Run(g, start, pooled)
+			st := pool.Stats()
+			pool.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !pre.Converged {
 				b.Fatal("dynamics did not converge within the settle budget")
+			}
+			if st.Unpooled != 0 {
+				b.Fatalf("the default budget left %d acquisitions unpooled (stats %+v)", st.Unpooled, st)
 			}
 			if row.n == 128 {
 				assertSameResult(b, "pooled vs oracle converge run", pre, runOracle(b, Run, g, start, opts))
@@ -94,7 +94,7 @@ func BenchmarkDynamicsRound(b *testing.B) {
 				// the measured rounds the way one long run shares it across
 				// its rounds. The untimed warm-up rounds fill the matrices and
 				// pass the stability hysteresis.
-				settled.Pool = core.NewWeightedCachePool(g, row.pool, opts.Weights)
+				settled.Pool = core.NewWeightedCachePool(g, 0, opts.Weights)
 				defer settled.Pool.Close()
 				for i := 0; i < 3; i++ {
 					if _, err := Run(g, pre.Final, settled); err != nil {
@@ -118,9 +118,10 @@ func BenchmarkDynamicsRound(b *testing.B) {
 }
 
 // assertSettledRoundFree fails the benchmark unless one more round over
-// the converged profile on the warm pool does no matrix work: no fills,
-// resyncs, delta repairs, derivations or (weighted) weight repairs —
-// only stamp skips and memo hits. This is the O(movers) invariant.
+// the converged profile on the warm pool does no row work: no fills,
+// resyncs, repairs of the shared matrix or refilled rows (shared or
+// private) — only stamp skips and memo hits. This is the O(movers)
+// invariant.
 func assertSettledRoundFree(b *testing.B, g *core.Game, settled *graph.Digraph, opts Options) {
 	b.Helper()
 	before := opts.Pool.Stats()
@@ -139,7 +140,7 @@ func assertSettledRoundFree(b *testing.B, g *core.Game, settled *graph.Digraph, 
 		{"fills", after.Fills - before.Fills},
 		{"resyncs", after.Resyncs - before.Resyncs},
 		{"delta repairs", after.DeltaRepairs - before.DeltaRepairs},
-		{"derivations", after.Derives - before.Derives},
+		{"refilled rows", after.RowsRefilled - before.RowsRefilled},
 		{"repairs", after.Repairs - before.Repairs},
 	} {
 		if c.d != 0 {

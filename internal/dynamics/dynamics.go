@@ -65,10 +65,11 @@ type Options struct {
 	DetectLoops bool
 	// Cached is the pooled (Deviator) form of Responder. When set the
 	// engine keeps one cached Deviator per player in a core.CachePool for
-	// the whole run: after each accepted move the pool is invalidated and
-	// each player's dist_{G-u} matrix is lazily *repaired* (delta BFS
-	// over the edges the movers actually changed) on its next use instead
-	// of refilled from scratch, which removes the dominant
+	// the whole run: after each accepted move the pool is invalidated, its
+	// shared distance matrix of the whole graph is *repaired* (delta BFS
+	// over the edges the movers actually changed) and each player's
+	// damaged rows of dist_{G-u} are refilled on its next use instead of
+	// a whole matrix per player, which removes the dominant
 	// O(n²)-fill-per-mover cost of cached dynamics. Cached must compute
 	// exactly the same response as Responder; the built-in core pairs do,
 	// pinned by tests against the uncached reference (Cached nil with

@@ -197,21 +197,20 @@ func (c *CSR) fillBatch(dst []int32, batch int, ms *maskScratch) {
 }
 
 // fillRowsSubset recomputes the rows of up to 64 arbitrary sources by
-// one word-parallel BFS pass, writing each source's full row (row-major,
-// no symmetry trick: the subset is not a contiguous column block). The
-// repair path uses it to refill damaged rows at batch cost instead of
-// one scalar BFS per row. A non-negative block is treated as deleted:
-// its reach mask starts full, so it is never reached, never expanded
-// and keeps InfDist in every row — BFS over c minus block, without
-// packing a second CSR.
+// one word-parallel BFS pass, writing source srcs[i]'s full row into
+// dst[i] (no symmetry trick: the subset is not a contiguous column
+// block). The repair path and the deletion refill (deletion.go) use it
+// to refill damaged rows at batch cost instead of one scalar BFS per
+// row. A non-negative block is treated as deleted: its reach mask
+// starts full, so it is never reached, never expanded and keeps InfDist
+// in every row — BFS over c minus block, without packing a second CSR.
 //
 // NOTE: the frontier loop is a deliberate triplet with fillBatch
 // (above) and aggBatch (ecc.go) — same reach/acc/front propagation,
 // different seeding and per-newly-reached action. The hot inner loops
 // cannot afford a per-edge closure, so a fix to the propagation must
 // be applied to all three.
-func (c *CSR) fillRowsSubset(srcs []int32, dst []int32, block int32, ms *maskScratch) {
-	n := c.N()
+func (c *CSR) fillRowsSubset(srcs []int32, dst [][]int32, block int32, ms *maskScratch) {
 	for i := range ms.reach {
 		ms.reach[i] = 0
 		ms.acc[i] = 0
@@ -221,7 +220,7 @@ func (c *CSR) fillRowsSubset(srcs []int32, dst []int32, block int32, ms *maskScr
 	}
 	ms.list = ms.list[:0]
 	for i, s := range srcs {
-		row := dst[int(s)*n : (int(s)+1)*n]
+		row := dst[i]
 		for w := range row {
 			row[w] = InfDist
 		}
@@ -252,7 +251,7 @@ func (c *CSR) fillRowsSubset(srcs []int32, dst []int32, block int32, ms *maskScr
 			ms.front[w] = nb
 			ms.list = append(ms.list, w)
 			for rem := nb; rem != 0; rem &= rem - 1 {
-				dst[int(srcs[bits.TrailingZeros64(rem)])*n+int(w)] = d
+				dst[bits.TrailingZeros64(rem)][w] = d
 			}
 		}
 	}
@@ -268,8 +267,8 @@ func (c *CSR) DistanceRows() []int32 {
 
 // ResetUnderlying repacks c as the CSR of the whole underlying graph
 // U(d), reusing c's buffers: a long-lived holder (the cache pool's
-// derive rung) refreshes it in place whenever the graph moves instead
-// of allocating a new view per mutation. A brace is one edge; neighbour
+// shared distance matrix) refreshes it in place whenever the graph
+// moves instead of allocating a new view per mutation. A brace is one edge; neighbour
 // lists are duplicate-free but not sorted (no consumer needs an order).
 func (c *CSR) ResetUnderlying(d *Digraph) {
 	c.Indptr, c.Nbrs = packUnderlying(d, c.Indptr, c.Nbrs)

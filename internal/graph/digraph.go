@@ -96,7 +96,7 @@ func (g *Digraph) AddArc(u, v int) bool {
 	g.touch(u)
 	g.touch(v)
 	if g.j != nil {
-		e := arcDelta{owner: int32(u), tgtAdd: []int32{int32(v)}}
+		e := arcDelta{owner: int32(u)}
 		if g.undToggle(u, v) {
 			e.undAdd = [][2]int32{normEdge(u, v)}
 		}
@@ -119,7 +119,7 @@ func (g *Digraph) RemoveArc(u, v int) bool {
 	g.touch(u)
 	g.touch(v)
 	if g.j != nil {
-		e := arcDelta{owner: int32(u), tgtRem: []int32{int32(v)}}
+		e := arcDelta{owner: int32(u)}
 		if g.undToggle(u, v) {
 			e.undRem = [][2]int32{normEdge(u, v)}
 		}
@@ -160,28 +160,22 @@ func (g *Digraph) SetOut(u int, s []int) {
 	var e arcDelta
 	e.owner = int32(u)
 	// Symmetric difference of two sorted lists: stamp every changed
-	// target and journal both arc targets and net undirected toggles.
+	// target and journal the net undirected toggles.
 	i, j := 0, 0
 	for i < len(old) || j < len(ns) {
 		switch {
 		case j >= len(ns) || (i < len(old) && old[i] < ns[j]):
 			v := old[i]
 			g.touch(v)
-			if g.j != nil {
-				e.tgtRem = append(e.tgtRem, int32(v))
-				if g.undToggle(u, v) {
-					e.undRem = append(e.undRem, normEdge(u, v))
-				}
+			if g.j != nil && g.undToggle(u, v) {
+				e.undRem = append(e.undRem, normEdge(u, v))
 			}
 			i++
 		case i >= len(old) || ns[j] < old[i]:
 			v := ns[j]
 			g.touch(v)
-			if g.j != nil {
-				e.tgtAdd = append(e.tgtAdd, int32(v))
-				if g.undToggle(u, v) {
-					e.undAdd = append(e.undAdd, normEdge(u, v))
-				}
+			if g.j != nil && g.undToggle(u, v) {
+				e.undAdd = append(e.undAdd, normEdge(u, v))
 			}
 			j++
 		default:

@@ -25,15 +25,25 @@ type LevelCache struct {
 	rows  [][]uint64 // per source: (depth+1)×words cumulative balls
 }
 
-// NewLevelCache returns an empty cache for n-vertex graphs; every source
-// must be SetRow before it is queried.
-func NewLevelCache(n int) *LevelCache {
+// NewLevelCache returns an empty cache for n-vertex graphs holding
+// sources indexed 0..sources-1 (a cache of every source of a matrix has
+// sources = n); every source must be SetRow before it is queried.
+func NewLevelCache(n, sources int) *LevelCache {
 	return &LevelCache{
 		n:     n,
 		words: (n + 63) / 64,
-		depth: make([]int32, n),
-		rows:  make([][]uint64, n),
+		depth: make([]int32, sources),
+		rows:  make([][]uint64, sources),
 	}
+}
+
+// Bytes returns the capacity, in bytes, of every buffer the cache holds.
+func (lc *LevelCache) Bytes() int64 {
+	b := 4*int64(cap(lc.depth)) + 24*int64(cap(lc.rows))
+	for _, r := range lc.rows {
+		b += 8 * int64(cap(r))
+	}
+	return b
 }
 
 // Words returns the per-level bitset width in 64-bit words.
@@ -100,6 +110,17 @@ func NewLevelUnion(n int) *LevelUnion {
 	words := (n + 63) / 64
 	return &LevelUnion{words: words, levels: make([]uint64, words)}
 }
+
+// Seed adds vertex v to every ball of an empty union (covered at radius
+// 0): the deviating player's own vertex, which a union of anchor balls
+// over shared rows must count without letting those rows place it.
+func (lu *LevelUnion) Seed(v int) {
+	lu.levels[v>>6] |= 1 << (uint(v) & 63)
+	lu.count = 1
+}
+
+// Bytes returns the capacity, in bytes, of the union's level buffer.
+func (lu *LevelUnion) Bytes() int64 { return 8 * int64(cap(lu.levels)) }
 
 // CopyFrom makes lu an independent copy of o.
 func (lu *LevelUnion) CopyFrom(o *LevelUnion) {

@@ -34,7 +34,7 @@ func TestLevelUnionMatchesScalarMinMerge(t *testing.T) {
 		d := randomDigraphFor(n, 2, rng)
 		c := NewCSR(d.Underlying())
 		rows := c.DistanceRows()
-		lc := NewLevelCache(n)
+		lc := NewLevelCache(n, n)
 		for s := 0; s < n; s++ {
 			lc.SetRow(s, rows[s*n:(s+1)*n])
 		}
@@ -65,7 +65,7 @@ func TestLevelUnionCopyIndependent(t *testing.T) {
 	d := randomDigraphFor(20, 2, rng)
 	c := NewCSR(d.Underlying())
 	rows := c.DistanceRows()
-	lc := NewLevelCache(20)
+	lc := NewLevelCache(20, 20)
 	for s := 0; s < 20; s++ {
 		lc.SetRow(s, rows[s*20:(s+1)*20])
 	}

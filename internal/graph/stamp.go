@@ -28,16 +28,13 @@ import (
 // digraphID hands out process-unique instance identities for anchors.
 var digraphID atomic.Uint64
 
-// arcDelta is one journal entry: the arc-set change of a single
-// mutation, from the point of view of both the directed graph (targets,
-// for in(u) tracking) and the undirected underlying view (edge toggles,
-// normalized a<b; a toggle is recorded only when the mutation actually
-// changed U(G), i.e. no brace partner kept the edge alive).
+// arcDelta is one journal entry: the undirected edge toggles of a
+// single mutation (normalized a<b; a toggle is recorded only when the
+// mutation actually changed U(G), i.e. no brace partner kept the edge
+// alive).
 type arcDelta struct {
 	gen    int64
 	owner  int32
-	tgtAdd []int32
-	tgtRem []int32
 	undAdd [][2]int32
 	undRem [][2]int32
 }
@@ -53,7 +50,7 @@ type journal struct {
 
 func (j *journal) add(e arcDelta) {
 	if j.cap > 0 && len(j.entries) >= j.cap {
-		half := len(j.entries) / 2
+		half := max(len(j.entries)/2, 1) // a one-entry journal drops its entry
 		j.base = j.entries[half-1].gen
 		j.entries = append(j.entries[:0], j.entries[half:]...)
 	}
@@ -141,9 +138,6 @@ type EdgeDelta struct {
 	// Removed and Added are sorted lexicographically and consistent with
 	// the current graph (multi-generation toggles cancel).
 	Removed, Added [][2]int32
-	// InTouched reports whether any non-u mutation added or removed an
-	// arc targeting u (i.e. in(u) may have changed).
-	InTouched bool
 	// Oversized reports that the net delta has more edges than the
 	// caller's limit; Removed and Added are then left nil.
 	Oversized bool
@@ -152,7 +146,8 @@ type EdgeDelta struct {
 // DeltaSince reports the net undirected-edge delta of this graph
 // relative to its state at generation since, excluding edges incident
 // to u and mutations performed by u itself (both irrelevant to u's
-// deviation cache, which excludes u's owned arcs and vertex u). ok is
+// deviation cache, which excludes u's owned arcs and vertex u); a
+// negative u excludes nothing, for a cache of the whole graph. ok is
 // false when the journal does not cover (since, Gen()] — the caller
 // must fall back to a full diff.
 //
@@ -171,19 +166,14 @@ func (g *Digraph) DeltaSince(since int64, u, limit int) (dl EdgeDelta, ok bool) 
 	// scanning the whole window.
 	es := g.j.entries
 	es = es[sort.Search(len(es), func(i int) bool { return es[i].gen > since }):]
-	uTouchable := g.nodeGen == nil || g.nodeGen[u] > since
 	u32 := int32(u)
-	// First pass: in(u) and the raw toggle count, which bounds how far
-	// the remaining entries can still cancel the net delta.
+	// First pass: the raw toggle count, which bounds how far the
+	// remaining entries can still cancel the net delta.
 	raw := 0
 	for i := range es {
 		e := &es[i]
 		if e.owner == u32 {
 			continue
-		}
-		if uTouchable && !dl.InTouched &&
-			(slices.Contains(e.tgtAdd, u32) || slices.Contains(e.tgtRem, u32)) {
-			dl.InTouched = true
 		}
 		raw += togglesOff(e.undAdd, u32) + togglesOff(e.undRem, u32)
 	}

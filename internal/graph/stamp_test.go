@@ -97,8 +97,8 @@ func TestStampAnchorCloneAndDivergence(t *testing.T) {
 
 // TestStampDeltaSinceMatchesDiffUnd drives random mutation streams and
 // checks that the journal's net delta for every (checkpoint, player)
-// pair equals a ground-truth DiffUnd of snapshots, and that inTouched
-// never under-reports an in(u) change by another player.
+// pair equals a ground-truth DiffUnd of snapshots, and that the node
+// stamps (TouchedSince) never under-report an in(u) change.
 func TestStampDeltaSinceMatchesDiffUnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -163,8 +163,8 @@ func TestStampDeltaSinceMatchesDiffUnd(t *testing.T) {
 						trial, u, old.gen, dl.Removed, dl.Added, dl.Oversized, wantRem, wantAdd)
 				}
 				inChanged := !intsEqual(old.in[u], cur.in[u])
-				if inChanged && !dl.InTouched {
-					t.Fatalf("trial %d u=%d: in(u) changed but inTouched=false", trial, u)
+				if inChanged && !g.TouchedSince(u, old.gen) {
+					t.Fatalf("trial %d u=%d: in(u) changed but u untouched", trial, u)
 				}
 				// A capped query is oversized exactly when the net delta
 				// exceeds the cap, and otherwise returns the same delta.

@@ -36,10 +36,10 @@ func xgetbv() (eax, edx uint32)
 // since eight reachable entries near InfDist already exceed 32 bits.
 //
 //go:noescape
-func sumMergeAVX2(vec, row []int32) (sum int64, reached int)
+func sumMergeAVX2(vec, row []int32, off int32) (sum int64, reached int)
 
 // maxMergeAVX2 is MaxMerge over the first len(vec)&^7 entries; row must
 // be at least that long.
 //
 //go:noescape
-func maxMergeAVX2(vec, row []int32) (far int32, reached int)
+func maxMergeAVX2(vec, row []int32, off int32) (far int32, reached int)

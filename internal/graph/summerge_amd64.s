@@ -20,18 +20,22 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	RET
 
 // Both kernels walk vec and row 8 entries at a time with index AX up to
-// CX = len(vec)&^7, and keep InfDist broadcast in Y14 for the
+// CX = len(vec)&^7, add the row offset broadcast in Y9 to each row strip
+// before the min, and keep InfDist broadcast in Y14 for the
 // reachability mask Y1 = (InfDist > m), all ones on reachable lanes.
 // X15 is left alone: Go code outside assembly relies on it being zero.
 // Every vector instruction is VEX-encoded (VMOVQ, not MOVQ, between
 // general and vector registers): a legacy SSE instruction while the
 // upper YMM halves are dirty costs a state transition on older cores.
 
-// func sumMergeAVX2(vec, row []int32) (sum int64, reached int)
-TEXT ·sumMergeAVX2(SB), NOSPLIT, $0-64
+// func sumMergeAVX2(vec, row []int32, off int32) (sum int64, reached int)
+TEXT ·sumMergeAVX2(SB), NOSPLIT, $0-72
 	MOVQ vec_base+0(FP), SI
 	MOVQ vec_len+8(FP), CX
 	MOVQ row_base+24(FP), DI
+	MOVL off+48(FP), DX
+	VMOVD DX, X9
+	VPBROADCASTD X9, Y9
 	ANDQ $~7, CX
 	XORQ AX, AX
 	MOVQ $0x40000000, DX
@@ -45,8 +49,9 @@ TEXT ·sumMergeAVX2(SB), NOSPLIT, $0-64
 	JZ sumreduce
 
 sumloop:
+	VPADDD (DI)(AX*4), Y9, Y2
 	VMOVDQU (SI)(AX*4), Y0
-	VPMINSD (DI)(AX*4), Y0, Y0
+	VPMINSD Y2, Y0, Y0
 	VPCMPGTD Y0, Y14, Y1
 	VPSUBD Y13, Y0, Y0
 	VPAND Y1, Y0, Y0
@@ -67,7 +72,7 @@ sumreduce:
 	VPSHUFD $0x4e, X10, X11
 	VPADDQ X11, X10, X10
 	VMOVQ X10, AX
-	MOVQ AX, sum+48(FP)
+	MOVQ AX, sum+56(FP)
 	VEXTRACTI128 $1, Y12, X1
 	VPADDD X1, X12, X12
 	VPSHUFD $0x4e, X12, X1
@@ -75,15 +80,18 @@ sumreduce:
 	VPSHUFD $0xb1, X12, X1
 	VPADDD X1, X12, X12
 	VMOVD X12, AX
-	MOVQ AX, reached+56(FP)
+	MOVQ AX, reached+64(FP)
 	VZEROUPPER
 	RET
 
-// func maxMergeAVX2(vec, row []int32) (far int32, reached int)
-TEXT ·maxMergeAVX2(SB), NOSPLIT, $0-64
+// func maxMergeAVX2(vec, row []int32, off int32) (far int32, reached int)
+TEXT ·maxMergeAVX2(SB), NOSPLIT, $0-72
 	MOVQ vec_base+0(FP), SI
 	MOVQ vec_len+8(FP), CX
 	MOVQ row_base+24(FP), DI
+	MOVL off+48(FP), DX
+	VMOVD DX, X9
+	VPBROADCASTD X9, Y9
 	ANDQ $~7, CX
 	XORQ AX, AX
 	MOVQ $0x40000000, DX
@@ -95,8 +103,9 @@ TEXT ·maxMergeAVX2(SB), NOSPLIT, $0-64
 	JZ maxreduce
 
 maxloop:
+	VPADDD (DI)(AX*4), Y9, Y2
 	VMOVDQU (SI)(AX*4), Y0
-	VPMINSD (DI)(AX*4), Y0, Y0
+	VPMINSD Y2, Y0, Y0
 	VPCMPGTD Y0, Y14, Y1
 	VPAND Y1, Y0, Y0
 	VPMAXSD Y0, Y10, Y10
@@ -113,7 +122,7 @@ maxreduce:
 	VPSHUFD $0xb1, X10, X11
 	VPMAXSD X11, X10, X10
 	VMOVD X10, AX
-	MOVL AX, far+48(FP)
+	MOVL AX, far+56(FP)
 	VEXTRACTI128 $1, Y12, X1
 	VPADDD X1, X12, X12
 	VPSHUFD $0x4e, X12, X1
@@ -121,6 +130,6 @@ maxreduce:
 	VPSHUFD $0xb1, X12, X1
 	VPADDD X1, X12, X12
 	VMOVD X12, AX
-	MOVQ AX, reached+56(FP)
+	MOVQ AX, reached+64(FP)
 	VZEROUPPER
 	RET

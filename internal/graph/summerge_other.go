@@ -6,10 +6,10 @@ package graph
 // and the compiler drops the calls below.
 const hasAVX2 = false
 
-func sumMergeAVX2(vec, row []int32) (sum int64, reached int) {
+func sumMergeAVX2(vec, row []int32, off int32) (sum int64, reached int) {
 	panic("graph: no AVX2 kernel on this architecture")
 }
 
-func maxMergeAVX2(vec, row []int32) (far int32, reached int) {
+func maxMergeAVX2(vec, row []int32, off int32) (far int32, reached int) {
 	panic("graph: no AVX2 kernel on this architecture")
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // scalarSumMerge is SumMerge's test oracle: the per-entry loop of the
-// SUM pass, with the reachability test as a branch.
-func scalarSumMerge(vec, row []int32) (sum int64, reached int) {
+// SUM pass over row read at offset off, with the reachability test as a
+// branch.
+func scalarSumMerge(vec, row []int32, off int32) (sum int64, reached int) {
 	for w, m := range vec {
 		if row != nil {
-			if r := row[w]; r < m {
+			if r := row[w] + off; r < m {
 				m = r
 			}
 		}
@@ -27,10 +28,10 @@ func scalarSumMerge(vec, row []int32) (sum int64, reached int) {
 
 // scalarMaxMerge is MaxMerge's test oracle: the per-entry loop of the
 // MAX pass.
-func scalarMaxMerge(vec, row []int32) (far int32, reached int) {
+func scalarMaxMerge(vec, row []int32, off int32) (far int32, reached int) {
 	for w, m := range vec {
 		if row != nil {
-			if r := row[w]; r < m {
+			if r := row[w] + off; r < m {
 				m = r
 			}
 		}
@@ -80,25 +81,39 @@ func kernelVec(n, off int, hi int32, rng *rand.Rand) []int32 {
 
 // kernelCases calls check on vector pairs of every length from 0 to 600,
 // at sub-slice offsets 0–7, with entries either small (below n+2) or
-// anywhere up to InfDist-1, each with a row and with a nil row; plus a
-// vector saturated at InfDist-1, whose lane sums need 64 bits.
-func kernelCases(check func(vec, row []int32)) {
+// anywhere up to InfDist-1, each with a row and with a nil row, at row
+// offset 0 and at a random offset in [1, 16] (finite row entries then
+// capped so that entry plus offset stays below InfDist), with a −1
+// vector entry (the deviating player's own column) in every vector of
+// length at least 3; plus a vector saturated at InfDist-1, whose lane
+// sums need 64 bits.
+func kernelCases(check func(vec, row []int32, off int32)) {
 	rng := rand.New(rand.NewSource(41))
 	for n := 0; n <= 600; n++ {
 		for _, hi := range []int32{int32(n) + 2, InfDist} {
 			for trial := 0; trial < 3; trial++ {
 				vec := kernelVec(n, rng.Intn(8), hi, rng)
 				row := kernelVec(n, rng.Intn(8), hi, rng)
-				check(vec, row)
-				check(vec, nil)
+				if n >= 3 {
+					vec[rng.Intn(n)] = -1
+				}
+				check(vec, row, 0)
+				check(vec, nil, 0)
+				off := 1 + rng.Int31n(16)
+				for i, r := range row {
+					if r < InfDist && r+off >= InfDist {
+						row[i] = InfDist - 1 - off
+					}
+				}
+				check(vec, row, off)
 			}
 		}
 		full := make([]int32, n)
 		for i := range full {
 			full[i] = InfDist - 1
 		}
-		check(full, nil)
-		check(full, full)
+		check(full, nil, 0)
+		check(full, full, 0)
 	}
 }
 
@@ -112,51 +127,72 @@ func orVec(row, vec []int32) []int32 {
 }
 
 func TestSumMergeMatchesScalar(t *testing.T) {
-	kernelCases(func(vec, row []int32) {
-		wantS, wantR := scalarSumMerge(vec, row)
-		if s, r := SumMerge(vec, row); s != wantS || r != wantR {
-			t.Fatalf("n=%d nil-row=%v: SumMerge (%d,%d), oracle (%d,%d)", len(vec), row == nil, s, r, wantS, wantR)
+	kernelCases(func(vec, row []int32, off int32) {
+		wantS, wantR := scalarSumMerge(vec, row, off)
+		if s, r := SumMerge(vec, row, off); s != wantS || r != wantR {
+			t.Fatalf("n=%d nil-row=%v off=%d: SumMerge (%d,%d), oracle (%d,%d)", len(vec), row == nil, off, s, r, wantS, wantR)
 		}
-		if s, r := sumMergeGo(vec, orVec(row, vec)); s != wantS || r != wantR {
-			t.Fatalf("n=%d nil-row=%v: Go loop (%d,%d), oracle (%d,%d)", len(vec), row == nil, s, r, wantS, wantR)
+		if row == nil {
+			off = 0
+		}
+		if s, r := sumMergeGo(vec, orVec(row, vec), off); s != wantS || r != wantR {
+			t.Fatalf("n=%d nil-row=%v off=%d: Go loop (%d,%d), oracle (%d,%d)", len(vec), row == nil, off, s, r, wantS, wantR)
 		}
 	})
 }
 
 func TestMaxMergeMatchesScalar(t *testing.T) {
-	kernelCases(func(vec, row []int32) {
-		wantF, wantR := scalarMaxMerge(vec, row)
-		if f, r := MaxMerge(vec, row); f != wantF || r != wantR {
-			t.Fatalf("n=%d nil-row=%v: MaxMerge (%d,%d), oracle (%d,%d)", len(vec), row == nil, f, r, wantF, wantR)
+	kernelCases(func(vec, row []int32, off int32) {
+		wantF, wantR := scalarMaxMerge(vec, row, off)
+		if f, r := MaxMerge(vec, row, off); f != wantF || r != wantR {
+			t.Fatalf("n=%d nil-row=%v off=%d: MaxMerge (%d,%d), oracle (%d,%d)", len(vec), row == nil, off, f, r, wantF, wantR)
 		}
-		if f, r := maxMergeGo(vec, orVec(row, vec)); f != wantF || r != wantR {
-			t.Fatalf("n=%d nil-row=%v: Go loop (%d,%d), oracle (%d,%d)", len(vec), row == nil, f, r, wantF, wantR)
+		if row == nil {
+			off = 0
+		}
+		if f, r := maxMergeGo(vec, orVec(row, vec), off); f != wantF || r != wantR {
+			t.Fatalf("n=%d nil-row=%v off=%d: Go loop (%d,%d), oracle (%d,%d)", len(vec), row == nil, off, f, r, wantF, wantR)
 		}
 	})
 }
 
-// kernelVecs decodes fuzz bytes into a vector pair for the scan kernels.
-// Byte 0 picks the sub-slice offsets (bits 0–2 for vec, 3–5 for row);
-// every further 8 bytes give one entry of each, as two little-endian
-// words mapped by kernelEntry.
-func kernelVecs(data []byte) (vec, row []int32) {
+// kernelVecs decodes fuzz bytes into a vector pair and a row offset for
+// the scan kernels. Byte 0 picks the sub-slice offsets (bits 0–2 for
+// vec, 3–5 for row) and whether the row carries an offset (bit 6: the
+// low nibble of the last byte, plus one); every further 8 bytes give
+// one entry of each, as two little-endian words mapped by kernelEntry —
+// a vector word with bits 31 and 30 both set is the −1 column, and a
+// finite row entry plus the offset is capped below InfDist.
+func kernelVecs(data []byte) (vec, row []int32, off int32) {
 	if len(data) == 0 {
-		return nil, nil
+		return nil, nil, 0
 	}
 	offV, offR := int(data[0]&7), int(data[0]>>3&7)
+	if data[0]>>6&1 != 0 {
+		off = int32(data[len(data)-1]&15) + 1
+	}
 	data = data[1:]
 	n := len(data) / 8
 	vb, rb := make([]int32, offV+n), make([]int32, offR+n)
 	for i := 0; i < n; i++ {
-		vb[offV+i] = kernelEntry(binary.LittleEndian.Uint32(data[8*i:]))
-		rb[offR+i] = kernelEntry(binary.LittleEndian.Uint32(data[8*i+4:]))
+		x := binary.LittleEndian.Uint32(data[8*i:])
+		vb[offV+i] = kernelEntry(x)
+		if x>>30 == 3 {
+			vb[offV+i] = -1
+		}
+		r := kernelEntry(binary.LittleEndian.Uint32(data[8*i+4:]))
+		if r < InfDist && r+off >= InfDist {
+			r = InfDist - 1 - off
+		}
+		rb[offR+i] = r
 	}
-	return vb[offV:], rb[offR:]
+	return vb[offV:], rb[offR:], off
 }
 
-// kernelEntry maps a fuzz word into the kernels' domain [0, InfDist]:
-// bit 31 makes it InfDist, bit 30 a small distance (its low byte), and
-// otherwise its low 30 bits are any finite distance up to InfDist-1.
+// kernelEntry maps a fuzz word into the kernels' row domain
+// [0, InfDist]: bit 31 makes it InfDist, bit 30 a small distance (its
+// low byte), and otherwise its low 30 bits are any finite distance up
+// to InfDist-1.
 func kernelEntry(x uint32) int32 {
 	switch {
 	case x>>31 != 0:
@@ -181,14 +217,18 @@ func kernelSeeds(f *testing.F) {
 func FuzzSumMerge(f *testing.F) {
 	kernelSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vec, row := kernelVecs(data)
+		vec, row, off := kernelVecs(data)
 		for _, row := range [][]int32{row, nil} {
-			wantS, wantR := scalarSumMerge(vec, row)
-			gotS, gotR := SumMerge(vec, row)
-			goS, goR := sumMergeGo(vec, orVec(row, vec))
+			o := off
+			if row == nil {
+				o = 0
+			}
+			wantS, wantR := scalarSumMerge(vec, row, o)
+			gotS, gotR := SumMerge(vec, row, off)
+			goS, goR := sumMergeGo(vec, orVec(row, vec), o)
 			if gotS != wantS || gotR != wantR || goS != wantS || goR != wantR {
-				t.Fatalf("n=%d nil-row=%v: SumMerge (%d,%d), Go loop (%d,%d), oracle (%d,%d)",
-					len(vec), row == nil, gotS, gotR, goS, goR, wantS, wantR)
+				t.Fatalf("n=%d nil-row=%v off=%d: SumMerge (%d,%d), Go loop (%d,%d), oracle (%d,%d)",
+					len(vec), row == nil, o, gotS, gotR, goS, goR, wantS, wantR)
 			}
 		}
 	})
@@ -198,14 +238,18 @@ func FuzzSumMerge(f *testing.F) {
 func FuzzMaxMerge(f *testing.F) {
 	kernelSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vec, row := kernelVecs(data)
+		vec, row, off := kernelVecs(data)
 		for _, row := range [][]int32{row, nil} {
-			wantF, wantR := scalarMaxMerge(vec, row)
-			gotF, gotR := MaxMerge(vec, row)
-			goF, goR := maxMergeGo(vec, orVec(row, vec))
+			o := off
+			if row == nil {
+				o = 0
+			}
+			wantF, wantR := scalarMaxMerge(vec, row, o)
+			gotF, gotR := MaxMerge(vec, row, off)
+			goF, goR := maxMergeGo(vec, orVec(row, vec), o)
 			if gotF != wantF || gotR != wantR || goF != wantF || goR != wantR {
-				t.Fatalf("n=%d nil-row=%v: MaxMerge (%d,%d), Go loop (%d,%d), oracle (%d,%d)",
-					len(vec), row == nil, gotF, gotR, goF, goR, wantF, wantR)
+				t.Fatalf("n=%d nil-row=%v off=%d: MaxMerge (%d,%d), Go loop (%d,%d), oracle (%d,%d)",
+					len(vec), row == nil, o, gotF, gotR, goF, goR, wantF, wantR)
 			}
 		}
 	})
@@ -213,11 +257,11 @@ func FuzzMaxMerge(f *testing.F) {
 
 // contribTotal is the "total contribution" the bounded kernel reasons
 // in: m+1 per reachable entry, cinf per unreachable one.
-func contribTotal(vec, row []int32, cinf int64) int64 {
+func contribTotal(vec, row []int32, off int32, cinf int64) int64 {
 	var total int64
 	for w, m := range vec {
 		if row != nil {
-			if r := row[w]; r < m {
+			if r := row[w] + off; r < m {
 				m = r
 			}
 		}
@@ -240,11 +284,13 @@ func TestSumMergeBounded(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			vec := randVec(n, rng)
 			row := randVec(n, rng)
+			vec[rng.Intn(n)] = -1 // the deviating player's own column
+			off := rng.Int31n(4)
 			// A sound floor: entrywise at most the merged value.
 			suffix := make([]int64, n+1)
 			for w := n - 1; w >= 0; w-- {
 				m := vec[w]
-				if r := row[w]; r < m {
+				if r := row[w] + off; r < m {
 					m = r
 				}
 				if rng.Intn(2) == 0 && m > 0 && m < InfDist {
@@ -256,16 +302,16 @@ func TestSumMergeBounded(t *testing.T) {
 				}
 				suffix[w] = suffix[w+1] + c
 			}
-			total := contribTotal(vec, row, cinf)
+			total := contribTotal(vec, row, off, cinf)
 			for _, budget := range []int64{0, total - 1, total, total + 1, 1 << 40} {
-				sum, reached, pruned := SumMergeBounded(vec, row, suffix, cinf, budget)
+				sum, reached, pruned := SumMergeBounded(vec, row, off, suffix, cinf, budget)
 				if pruned {
 					if total <= budget {
 						t.Fatalf("n=%d: pruned although total %d <= budget %d", n, total, budget)
 					}
 					continue
 				}
-				wantS, wantR := SumMerge(vec, row)
+				wantS, wantR := SumMerge(vec, row, off)
 				if sum != wantS || reached != wantR {
 					t.Fatalf("n=%d: bounded (%d,%d) != merge (%d,%d)", n, sum, reached, wantS, wantR)
 				}
@@ -285,9 +331,10 @@ func TestWeightedSumMergeMatchesScalar(t *testing.T) {
 			for i := range weight {
 				weight[i] = int64(rng.Intn(4)) // folded zeros included
 			}
+			off := rng.Int31n(4)
 			var want int64
 			for w, m := range vec {
-				if r := row[w]; r < m {
+				if r := row[w] + off; r < m {
 					m = r
 				}
 				if m < InfDist {
@@ -296,7 +343,7 @@ func TestWeightedSumMergeMatchesScalar(t *testing.T) {
 					want += weight[w] * cinf
 				}
 			}
-			if got := WeightedSumMerge(vec, row, weight, cinf); got != want {
+			if got := WeightedSumMerge(vec, row, off, weight, cinf); got != want {
 				t.Fatalf("n=%d: got %d, want %d", n, got, want)
 			}
 			var wantNil int64
@@ -307,7 +354,7 @@ func TestWeightedSumMergeMatchesScalar(t *testing.T) {
 					wantNil += weight[w] * cinf
 				}
 			}
-			if got := WeightedSumMerge(vec, nil, weight, cinf); got != wantNil {
+			if got := WeightedSumMerge(vec, nil, off, weight, cinf); got != wantNil {
 				t.Fatalf("n=%d nil-row: got %d, want %d", n, got, wantNil)
 			}
 		}
@@ -319,14 +366,15 @@ func TestMinInto(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 9, 64, 201} {
 		vec := randVec(n, rng)
 		row := randVec(n, rng)
+		off := rng.Int31n(4)
 		want := make([]int32, n)
 		for i := range want {
 			want[i] = vec[i]
-			if row[i] < want[i] {
-				want[i] = row[i]
+			if row[i]+off < want[i] {
+				want[i] = row[i] + off
 			}
 		}
-		MinInto(vec, row)
+		MinInto(vec, row, off)
 		for i := range want {
 			if vec[i] != want[i] {
 				t.Fatalf("n=%d entry %d: got %d, want %d", n, i, vec[i], want[i])
@@ -343,10 +391,10 @@ func BenchmarkScanKernels(b *testing.B) {
 		name string
 		fn   func(vec, row []int32) int64
 	}{
-		{"SumMerge", func(vec, row []int32) int64 { s, _ := SumMerge(vec, row); return s }},
-		{"sumMergeGo", func(vec, row []int32) int64 { s, _ := sumMergeGo(vec, row); return s }},
-		{"MaxMerge", func(vec, row []int32) int64 { f, _ := MaxMerge(vec, row); return int64(f) }},
-		{"maxMergeGo", func(vec, row []int32) int64 { f, _ := maxMergeGo(vec, row); return int64(f) }},
+		{"SumMerge", func(vec, row []int32) int64 { s, _ := SumMerge(vec, row, 0); return s }},
+		{"sumMergeGo", func(vec, row []int32) int64 { s, _ := sumMergeGo(vec, row, 0); return s }},
+		{"MaxMerge", func(vec, row []int32) int64 { f, _ := MaxMerge(vec, row, 0); return int64(f) }},
+		{"maxMergeGo", func(vec, row []int32) int64 { f, _ := maxMergeGo(vec, row, 0); return int64(f) }},
 	}
 	for _, n := range []int{12, 96, 512} {
 		rng := rand.New(rand.NewSource(5))

@@ -103,41 +103,6 @@ func (g *Digraph) UnderlyingWithout(u int) Und {
 	return adj
 }
 
-// AddEdge inserts the undirected edge {u,v} into both neighbour lists,
-// keeping them sorted. It is a no-op if the edge is already present.
-func (a Und) AddEdge(u, v int) {
-	a.insertNbr(u, v)
-	a.insertNbr(v, u)
-}
-
-// RemoveEdge deletes the undirected edge {u,v} from both neighbour
-// lists. It is a no-op if the edge is absent.
-func (a Und) RemoveEdge(u, v int) {
-	a.deleteNbr(u, v)
-	a.deleteNbr(v, u)
-}
-
-func (a Und) insertNbr(u, v int) {
-	nb := a[u]
-	i := sort.SearchInts(nb, v)
-	if i < len(nb) && nb[i] == v {
-		return
-	}
-	nb = append(nb, 0)
-	copy(nb[i+1:], nb[i:])
-	nb[i] = v
-	a[u] = nb
-}
-
-func (a Und) deleteNbr(u, v int) {
-	nb := a[u]
-	i := sort.SearchInts(nb, v)
-	if i >= len(nb) || nb[i] != v {
-		return
-	}
-	a[u] = append(nb[:i], nb[i+1:]...)
-}
-
 // dedupSorted sorts s and removes duplicates in place.
 func dedupSorted(s []int) []int {
 	sort.Ints(s)

@@ -5,8 +5,7 @@ package graph
 //
 //   - A removed (or weight-increased) edge {a,b,w} lies on a shortest
 //     path of row s only when one endpoint is the other's tight parent:
-//     row[b] == row[a] + w (b is the child) or symmetrically. Offsets
-//     cancel — both entries carry the same per-row shift. An orphaned
+//     row[b] == row[a] + w (b is the child) or symmetrically. An orphaned
 //     child is safe if some surviving arc still certifies its old
 //     distance (row[x] + w(x,child) == row[child] over the new WCSR);
 //     by induction in old-distance order every such certificate keeps
@@ -24,23 +23,18 @@ package graph
 //     rather than delta.go's n+1-bucket queue.
 //
 // The thresholds mirror delta.go: classification is abandoned past
-// RepairDeltaCap delta edges or RepairRefillFraction damaged rows, and
+// RepairCap delta edges or RepairRefillFraction damaged rows, and
 // the call reports FullRefill with the rows untouched for the caller to
 // rebuild whole. The fuzz and property suites pin the repaired rows
 // against a fresh fill, bit for bit.
 
-// WDeltaScratch holds the reusable buffers of RepairRowsWeighted and
-// DeriveRowsWeighted. Not safe for concurrent use.
+// WDeltaScratch holds the reusable buffers of RepairRowsWeighted. Not
+// safe for concurrent use.
 type WDeltaScratch struct {
 	damaged []int32
 	patched []int32
 	changed []int32
 	heap    []int64
-
-	// DeriveRowsWeighted only, allocated on its first call.
-	xedges []WEdge
-	col    []int32
-	ws     *wScratch
 }
 
 // NewWDeltaScratch returns weighted repair scratch for n-vertex
@@ -49,22 +43,21 @@ func NewWDeltaScratch(n int) *WDeltaScratch {
 	return &WDeltaScratch{heap: make([]int64, 0, n)}
 }
 
-// RepairRowsWeighted updates rows (the flat n×n offset-adjusted matrix
-// of the weighted graph *before* the delta) to the distances over c
-// (the weighted graph *after* it). removed and added list the deleted
-// and inserted weighted edges; a weight change on a surviving edge is
-// expressed as removed(old weight) + added(new weight). off supplies
-// the per-row offsets (nil = all zero) for damaged-row refills; it must
-// already reflect the *new* state. The repaired matrix is bit-identical
-// to a fresh DistanceRowsInto fill; a FullRefill report leaves rows
-// untouched for the caller to rebuild whole.
-func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WEdge, ds *WDeltaScratch) RepairStats {
+// RepairRowsWeighted updates rows (the flat n×n weighted distance
+// matrix of the graph *before* the delta) to the distances over c (the
+// weighted graph *after* it). removed and added list the deleted and
+// inserted weighted edges; a weight change on a surviving edge is
+// expressed as removed(old weight) + added(new weight). The repaired
+// matrix is bit-identical to a fresh DistanceRowsInto fill; a
+// FullRefill report leaves rows untouched for the caller to rebuild
+// whole.
+func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDeltaScratch) RepairStats {
 	n := c.N()
 	st := RepairStats{}
 	if n == 0 || len(removed)+len(added) == 0 {
 		return st
 	}
-	if len(removed)+len(added) > RepairDeltaCap(n) {
+	if len(removed)+len(added) > RepairCap(n) {
 		st.FullRefill = true
 		return st
 	}
@@ -130,11 +123,7 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WE
 			func() *wScratch { return newWScratch(c.MaxW) },
 			func(ws *wScratch, i int) {
 				s := ds.damaged[i]
-				var o int32
-				if off != nil {
-					o = off[s]
-				}
-				c.steppingRow(s, rows[int(s)*n:(int(s)+1)*n], o, -1, ws)
+				c.steppingRow(s, rows[int(s)*n:(int(s)+1)*n], -1, ws)
 			})
 	}
 	ds.changed = append(ds.changed[:0], ds.damaged...)

@@ -15,23 +15,25 @@ import (
 // bit-identical to a scalar binary-heap Dijkstra — the reference the
 // tests check it against.
 //
-// Offset-adjusted rows. The engine consumes rows through min-merge
-// kernels hard-wired to "distance via anchor v = 1 + row_v[w]". Weighted
-// deviation distances are w(u,v) + wdist_{G-u}(v, w) instead, so each
-// row is stored pre-shifted by its anchor offset off_v = w(u,v) - 1:
+// Offsets at merge time. The engine consumes rows through min-merge
+// kernels computing "distance via anchor v = 1 + row_v[w]". Weighted
+// deviation distances are w(u,v) + wdist_{G-u}(v, w) instead, so rows
+// are stored raw and each kernel adds its anchor's offset
+// off_v = w(u,v) - 1 as the row enters the merge (summerge.go):
 //
-//	arow_v[w] = wdist_{G-u}(v, w) + off_v   (InfDist when unreachable)
+//	1 + min_v (wdist_{G-u}(v, w) + off_v)
 //
-// and 1 + min_v arow_v[w] is exactly the weighted deviation distance.
-// Every unweighted kernel — SumMerge, the bounded strips, colMin folds,
-// the suffix-bound inequality row_v[w] >= vec[w] - vec[v] (offsets are
-// nonnegative, so the triangle-inequality floor survives the shift) —
-// then runs unchanged on weighted rows. At unit weights every offset is
-// zero and the rows coincide bit-for-bit with the BFS cache.
+// is exactly the weighted deviation distance. Raw rows do not depend
+// on u, so one weighted distance matrix of the whole graph serves every
+// player's undamaged rows. The suffix-bound inequality
+// row_v[w] + off_v >= vec[w] - vec[v] survives the offsets (they are
+// nonnegative). At unit weights every offset is zero and the rows
+// coincide bit-for-bit with the BFS cache.
 
-// FitsWeightedCache reports whether offset-adjusted weighted distances
-// of an n-vertex graph with weights in [1, maxW] stay strictly below the
-// InfDist sentinel: any finite adjusted entry is at most (n+1)·maxW.
+// FitsWeightedCache reports whether weighted distances plus an anchor
+// offset, over an n-vertex graph with weights in [1, maxW], stay
+// strictly below the InfDist sentinel: any finite sum is at most
+// (n+1)·maxW.
 // Callers must refuse to build weighted caches past this bound (the
 // engine then falls back to per-candidate Dijkstra evaluation).
 func FitsWeightedCache(n int, maxW int32) bool {
@@ -198,20 +200,6 @@ func (w *Weights) ChangesSince(since int64) (changes []WeightChange, ok bool) {
 	return changes, true
 }
 
-// ShiftRow adds delta to every finite entry of a cached distance row
-// (InfDist entries stay put) — the constant per-row adjustment when an
-// anchor's offset w(u,v) changes.
-func ShiftRow(row []int32, delta int32) {
-	if delta == 0 {
-		return
-	}
-	for i, r := range row {
-		if r < InfDist {
-			row[i] = r + delta
-		}
-	}
-}
-
 // WEdge is one weighted undirected edge of a repair delta.
 type WEdge struct {
 	A, B, W int32
@@ -292,39 +280,30 @@ func newWScratch(maxW int32) *wScratch {
 	return &wScratch{buckets: make([][]int32, nb)}
 }
 
-// DistanceRowsInto fills dst (length n*n) with offset-adjusted weighted
-// distances over c: dst[v*n+w] = wdist(v, w) + off[v], InfDist when
-// unreachable. off may be nil (all offsets zero); offsets must be
-// nonnegative and small enough that adjusted entries stay below InfDist
-// (FitsWeightedCache). Sources run in parallel over the worker pool,
-// one Δ-stepping scan each.
-func (c *WCSR) DistanceRowsInto(dst []int32, off []int32) {
+// DistanceRowsInto fills dst (length n*n) with weighted distances over
+// c: dst[v*n+w] = wdist(v, w), InfDist when unreachable. Sources run in
+// parallel over the worker pool, one Δ-stepping scan each.
+func (c *WCSR) DistanceRowsInto(dst []int32) {
 	n := c.N()
 	parallelRange(n, 64, func() *wScratch { return newWScratch(c.MaxW) }, func(ws *wScratch, src int) {
-		var o int32
-		if off != nil {
-			o = off[src]
-		}
-		c.steppingRow(int32(src), dst[src*n:(src+1)*n], o, -1, ws)
+		c.steppingRow(int32(src), dst[src*n:(src+1)*n], -1, ws)
 	})
 }
 
 // steppingRow is one Δ-stepping SSSP: tentative distances live in the
-// row (offset included — the offset is constant per row, so relaxation
-// order in adjusted space equals true-distance order), vertices are
-// queued in the bucket of their true distance divided by Δ, and each
-// bucket is scanned to a fixed point (light edges requeue into the
-// bucket being scanned, which the in-loop reload picks up) before the
-// ring advances. Stale queue entries are skipped by the lazy validity
+// row, vertices are queued in the bucket of their distance divided by
+// Δ, and each bucket is scanned to a fixed point (light edges requeue
+// into the bucket being scanned, which the in-loop reload picks up)
+// before the ring advances. Stale queue entries are skipped by the lazy validity
 // check against the row. A non-negative block (never src) is treated
 // as deleted: it holds a below-any-distance placeholder during the scan,
 // so no relaxation enters it, and ends at InfDist — SSSP over c minus
 // block without packing a second WCSR.
-func (c *WCSR) steppingRow(src int32, row []int32, o, block int32, ws *wScratch) {
+func (c *WCSR) steppingRow(src int32, row []int32, block int32, ws *wScratch) {
 	for i := range row {
 		row[i] = InfDist
 	}
-	row[src] = o
+	row[src] = 0
 	if block >= 0 {
 		row[block] = -1
 	}
@@ -337,7 +316,7 @@ func (c *WCSR) steppingRow(src int32, row []int32, o, block int32, ws *wScratch)
 		for i := 0; i < len(b); i++ {
 			v := b[i]
 			dv := row[v]
-			if int(dv-o)/int(delta) != cur {
+			if int(dv)/int(delta) != cur {
 				continue // superseded by a smaller tentative distance
 			}
 			for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
@@ -345,7 +324,7 @@ func (c *WCSR) steppingRow(src int32, row []int32, o, block int32, ws *wScratch)
 				nd := dv + c.W[k]
 				if nd < row[w] {
 					row[w] = nd
-					idx := int(nd-o) / int(delta)
+					idx := int(nd) / int(delta)
 					ws.buckets[idx%nb] = append(ws.buckets[idx%nb], w)
 					if idx > maxIdx {
 						maxIdx = idx

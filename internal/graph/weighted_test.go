@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// wRows fills a fresh offset-adjusted weighted distance matrix over c.
-func wRows(c *WCSR, off []int32) []int32 {
+// wRows fills a fresh weighted distance matrix over c.
+func wRows(c *WCSR) []int32 {
 	n := c.N()
 	rows := make([]int32, n*n)
-	c.DistanceRowsInto(rows, off)
+	c.DistanceRowsInto(rows)
 	return rows
 }
 
@@ -154,7 +154,7 @@ func TestSteppingMatchesDijkstra(t *testing.T) {
 		wts := NewWeights(n, rng.Int63(), maxW)
 		u := rng.Intn(n)
 		c := NewWCSRExcluding(a, wts, u)
-		got := wRows(c, nil)
+		got := wRows(c)
 		want := make([]int32, n*n)
 		for s := 0; s < n; s++ {
 			c.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0)
@@ -177,26 +177,43 @@ func TestSteppingMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// Offset-adjusted fills must equal the zero-offset fill shifted row by
-// row — the encoding the deviation cache relies on.
+// Offsets at merge time must equal merging pre-shifted rows — the
+// encoding the deviation cache relies on: anchor v's raw weighted row
+// read at offset w(u,v) − 1 by MinInto and SumMerge gives what the same
+// row with every finite entry shifted by that offset gives.
 func TestWeightedOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	n := 20
 	d := randomDigraphFor(n, 3, rng)
 	wts := NewWeights(n, 3, 9)
 	c := NewWCSRExcluding(d.Underlying(), wts, 0)
-	off := make([]int32, n)
-	for v := range off {
-		off[v] = int32(rng.Intn(9))
+	plain := wRows(c)
+	vec := make([]int32, n)
+	for i := range vec {
+		vec[i] = InfDist
 	}
-	plain := wRows(c, nil)
-	adj := wRows(c, off)
-	for v := 0; v < n; v++ {
-		row := append([]int32(nil), plain[v*n:(v+1)*n]...)
-		ShiftRow(row, off[v])
-		for w := 0; w < n; w++ {
-			if adj[v*n+w] != row[w] {
-				t.Fatalf("row %d cell %d: adjusted %d, shifted %d", v, w, adj[v*n+w], row[w])
+	vec[0] = -1
+	want := append([]int32(nil), vec...)
+	for v := 1; v < n; v++ {
+		off := wts.Of(0, v) - 1
+		row := plain[v*n : (v+1)*n]
+		shifted := make([]int32, n)
+		for w, r := range row {
+			shifted[w] = r
+			if r < InfDist {
+				shifted[w] = r + off
+			}
+		}
+		gs, gr := SumMerge(vec, row, off)
+		ws, wr := SumMerge(vec, shifted, 0)
+		if gs != ws || gr != wr {
+			t.Fatalf("anchor %d: offset merge (%d,%d), shifted merge (%d,%d)", v, gs, gr, ws, wr)
+		}
+		MinInto(vec, row, off)
+		MinInto(want, shifted, 0)
+		for w := range vec {
+			if vec[w] != want[w] {
+				t.Fatalf("anchor %d cell %d: offset fold %d, shifted fold %d", v, w, vec[w], want[w])
 			}
 		}
 	}
@@ -267,18 +284,18 @@ func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32
 		}
 		oldCSR.Indptr, oldCSR.Nbrs, oldCSR.W = indptr, nbrs, ws
 	}
-	rows := wRows(oldCSR, nil)
+	rows := wRows(oldCSR)
 	newCSR := NewWCSRExcluding(cur, wts, skip)
 	removed, added := weightedDelta(old, cur, skip, snap, wts)
 	before := append([]int32(nil), rows...)
-	st := newCSR.RepairRowsWeighted(rows, nil, removed, added, NewWDeltaScratch(n))
+	st := newCSR.RepairRowsWeighted(rows, removed, added, NewWDeltaScratch(n))
 	if st.FullRefill {
 		for i := range rows {
 			if rows[i] != before[i] {
 				t.Fatalf("skip=%d: FullRefill report touched cell %d", skip, i)
 			}
 		}
-		newCSR.DistanceRowsInto(rows, nil)
+		newCSR.DistanceRowsInto(rows)
 	}
 	want := make([]int32, n*n)
 	for s := 0; s < n; s++ {

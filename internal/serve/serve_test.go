@@ -505,8 +505,9 @@ func TestConcurrentSessionsNoCrossTalk(t *testing.T) {
 		if st.Pool.Repairs != b.Repairs {
 			t.Fatalf("session %s repaired on an unchanged profile: %d -> %d", st.ID, b.Repairs, st.Pool.Repairs)
 		}
-		if st.Pool.Derives != b.Derives {
-			t.Fatalf("session %s derived a matrix on an unchanged profile: %d -> %d", st.ID, b.Derives, st.Pool.Derives)
+		if st.Pool.Fills != b.Fills || st.Pool.RowsRefilled != b.RowsRefilled {
+			t.Fatalf("session %s refilled rows on an unchanged profile: fills %d -> %d, rows %d -> %d",
+				st.ID, b.Fills, st.Pool.Fills, b.RowsRefilled, st.Pool.RowsRefilled)
 		}
 		if st.Pool.MemoHits <= b.MemoHits {
 			t.Fatalf("session %s repeated queries missed the memo: %d -> %d", st.ID, b.MemoHits, st.Pool.MemoHits)

@@ -2,8 +2,8 @@
 // creation game engine: game construction, realizations, best-response
 // computation, equilibrium checks, welfare, response dynamics, and the
 // warm distance-cache pool that makes repeated queries against a slowly
-// mutating graph cheap (stamp skip → journal delta repair → full
-// resync; see internal/core).
+// mutating graph cheap (stamp skip → journal repair of one shared
+// matrix → per-player damaged rows; see internal/core).
 //
 // The heavy machinery lives in internal packages; this package promotes
 // the session-facing types and constructors so that long-running
@@ -137,8 +137,12 @@ type (
 )
 
 // CachePool keeps per-player distance caches warm across the mutations
-// of one graph; PoolStats are its lifetime counters (StampSkips,
-// DeltaRepairs, Resyncs, Derives, MemoHits, ...).
+// of one graph: one shared distance matrix of the whole graph plus, per
+// player, the rows its deletion damages. PoolStats are its lifetime
+// counters: Fills (whole fills of the shared matrix), DeltaRepairs and
+// Resyncs (its journal repairs and journal-gap refills), RowsRefilled
+// (rows recomputed, shared or private), StampSkips, MemoHits, ...
+// (see core.PoolStats).
 type (
 	CachePool = core.CachePool
 	PoolStats = core.PoolStats
@@ -157,9 +161,9 @@ type Weights = graph.Weights
 // weights hashed from seed into [1, max].
 func NewWeights(n int, seed int64, max int32) *Weights { return graph.NewWeights(n, seed, max) }
 
-// NewWeightedCachePool is NewCachePool over the arc-weighted game: pool
-// entries hold weighted distance rows (Δ-stepping fill, incremental
-// weighted repair) and track wts's generation as a second staleness
+// NewWeightedCachePool is NewCachePool over the arc-weighted game: the
+// pool holds weighted distance rows (Δ-stepping fill, incremental
+// weighted repair) and tracks wts's generation as a second staleness
 // stream — weight-only mutations need no Invalidate call.
 func NewWeightedCachePool(g *Game, budgetBytes int64, wts *Weights) *CachePool {
 	return core.NewWeightedCachePool(g, budgetBytes, wts)
@@ -244,8 +248,8 @@ func CheckExactSpace(g *Game, u int, cap int64) error {
 }
 
 // PooledResponse computes player u's best response against d riding the
-// pool's warm-cache ladder: the entry is stamp-checked/repaired by
-// Acquire, the scan runs on the cached matrix, and the outcome is
+// pool's warm-cache ladder: the entry is stamp-checked/synced by
+// Acquire, the scan runs on the cached rows, and the outcome is
 // recorded in the pool's round memo (note=true) so an unchanged graph
 // can skip u's next scan entirely. The caller owns the pool's
 // single-goroutine discipline. The skip path is the caller's concern
