@@ -169,12 +169,15 @@ func (dv *Deviator) noteStable() {
 // bitset eccentricity kernel: only for pool entries whose rows have
 // stayed stable for a couple of acquisitions, because building an
 // entry's level state costs about as much as one full greedy scan saves
-// — it pays off precisely when it survives across movers and rounds.
-// Heavy-move phases (syncs that stale most rows) stay on the row kernel.
+// — it pays off precisely when it survives across movers and rounds —
+// and only while the pool's level sets of D fit its budget (the first
+// such call builds them). Heavy-move phases (syncs that stale most
+// rows) stay on the row kernel.
 func (dv *Deviator) useLevels() bool {
 	// Weighted distances exceed the n levels the bitset cache holds;
 	// weighted MAX stays on the row kernel.
-	return dv.game.Version == MAX && dv.pool != nil && dv.wts == nil && dv.stable >= 2
+	return dv.game.Version == MAX && dv.pool != nil && dv.wts == nil && dv.stable >= 2 &&
+		dv.pool.sharedLevels()
 }
 
 // ensureLevels builds the level state of the MAX eccentricity kernel:

@@ -45,13 +45,9 @@ import (
 //     a version, bumped whenever the graph changed, and per row the
 //     version at which its content last changed.
 //   - Damage test: an entry behind D's version re-runs the lost-parent
-//     test over D's rows; in(u) and, when G-u may have moved, the
-//     component labels of G-u (one BFS over the CSR with u blocked) are
-//     refreshed with it.
-//   - Private refill: the damaged rows are refilled with u blocked —
-//     except, when the journal proves G-u unchanged since the entry
-//     synced (u's own move), rows that were damaged before keep their
-//     exact content.
+//     test over D's rows; in(u) and the component labels of G-u (one
+//     BFS over the CSR with u blocked) are refreshed with it.
+//   - Private refill: the damaged rows are refilled with u blocked.
 //
 // Every rung is exact: an entry's rows equal a whole fill of G-u outside
 // column u, bit for bit, so pooled responders return what the uncached
@@ -77,10 +73,21 @@ import (
 // exactly as fast as the refill baseline. The budget bounds what the
 // pool holds (account): D, its row versions, CSR and level sets, the
 // sync scratch, and per entry its private rows and level sets, inMin,
-// offsets, labels and SUM memo and bounds. An entry whose sync, or
-// whose scan (charged on Release), would push the pool past the budget
-// is released and its player served unpooled. Only the graph kernels'
-// O(n) working scratch is not charged.
+// offsets, labels and SUM memo and bounds. Not charged: the graph
+// kernels' O(n) working scratch and the pool's per-player round memo
+// and eviction flags. Entries vary in size, so the budget is kept where
+// things grow, and nothing evicted comes back:
+//
+//   - An entry whose sync, or whose scan (charged on Release), would
+//     push the pool past the budget is evicted, and its player is
+//     served unpooled from then on.
+//   - D's level sets are built only if they fit, and dropped for good,
+//     with the entries', if D's own growth (a repacked CSR, deeper
+//     level sets) later crosses the budget; MAX scans then stay on the
+//     row kernel.
+//   - Should D still not fit, entries are evicted in player order until
+//     it does, and D itself goes — with every player unpooled — only
+//     when it no longer fits alone.
 //
 // Concurrency contract: the pool is single-goroutine — every method
 // and every acquired Deviator belongs to the goroutine that drives it
@@ -105,7 +112,7 @@ type PoolStats struct {
 
 	RowsPatched  int64 // rows of D improved in place by the delta repair
 	RowsRefilled int64 // rows recomputed by fresh BFS/SSSP: D's damaged rows plus entries' private rows
-	FullRefills  int64 // syncs of D whose journal delta was too large or too damaging to repair (also counted in Fills)
+	FullRefills  int64 // syncs of D whose delta was past the repair cap (also counted in Fills)
 
 	StampSkips   int64 // stale acquisitions settled by stamps alone (no damage test, no row touched)
 	DeltaRepairs int64 // syncs of D repaired from the journal delta
@@ -135,6 +142,7 @@ type CachePool struct {
 	version int64 // bumped by Invalidate
 	entries map[int]*poolEntry
 	resp    []respEntry // round-level best-response memo, indexed by player
+	out     []bool      // players evicted for budget: served unpooled from then on
 	closed  bool
 	ctr     poolCounters
 
@@ -156,6 +164,8 @@ type shared struct {
 	rowVer []int64 // rowVer[s]: ver at which row s's content last changed
 	ver    int64   // bumped by every sync that found the graph changed
 	lc     *graph.LevelCache
+	// noLevels: the level sets did not fit the budget (sharedLevels).
+	noLevels bool
 
 	// The graph D describes: the CSR (WCSR when weighted) it was packed
 	// from, the instance and generation, its content anchor and the
@@ -177,7 +187,6 @@ type shared struct {
 	fs      graph.FillScratch
 	damaged []int32
 	dst     [][]int32
-	refill  []int32
 	mark    []bool
 	priv    []int32
 	stale   []int32
@@ -221,6 +230,7 @@ func NewCachePool(g *Game, budgetBytes int64) *CachePool {
 		game:    g,
 		budget:  budgetBytes,
 		entries: make(map[int]*poolEntry),
+		out:     make([]bool, g.N()),
 	}
 }
 
@@ -262,7 +272,7 @@ func (p *CachePool) Invalidate() {
 // pool's next Acquire, and must not hold two acquired Deviators at once.
 func (p *CachePool) Acquire(d *graph.Digraph, u int) *Deviator {
 	p.ctr.acquires.Add(1)
-	if p.closed {
+	if p.closed || p.out[u] {
 		p.ctr.unpooled.Add(1)
 		return NewWeightedDeviator(p.game, d, u, p.wts)
 	}
@@ -273,12 +283,13 @@ func (p *CachePool) Acquire(d *graph.Digraph, u int) *Deviator {
 		return e.dv
 	}
 	if p.syncShared(d) {
-		if ok {
+		// D's sync may have evicted entries to stay within budget.
+		if e, ok = p.entries[u]; ok {
 			p.syncEntry(e, d)
-		} else {
+		} else if !p.out[u] {
 			e = p.newEntry(d, u)
 		}
-		if p.account(e) && e != nil {
+		if e != nil && p.account(e) {
 			e.version = p.version
 			e.graph, e.gen = d, d.Gen()
 			e.aid, e.agen = d.Anchor()
@@ -306,7 +317,6 @@ func (p *CachePool) syncShared(d *graph.Digraph) bool {
 			rowVer:  make([]int64, n),
 			damaged: make([]int32, 0, n),
 			dst:     make([][]int32, 0, n),
-			refill:  make([]int32, 0, n),
 			mark:    make([]bool, n),
 			priv:    make([]int32, n),
 			stale:   make([]int32, 0, n),
@@ -314,7 +324,7 @@ func (p *CachePool) syncShared(d *graph.Digraph) bool {
 		}
 		p.pack(d)
 		if p.used.Load()+p.sharedBytes()+4*int64(n)*int64(n) > p.budget {
-			p.sh = nil // D does not fit: every player is served unpooled
+			p.dropShared() // D does not fit: every player is served unpooled
 			return false
 		}
 		p.sh.dist = make([]int32, n*n)
@@ -365,7 +375,7 @@ func (p *CachePool) repairShared(d *graph.Digraph) {
 		p.refillShared(d)
 		return
 	}
-	dl, ok := d.DeltaSince(sh.gen, -1, graph.RepairCap(n))
+	dl, ok := d.DeltaSince(sh.gen, graph.RepairCap(n))
 	var changes []graph.WeightChange
 	if p.wts != nil && ok {
 		changes, ok = p.wts.ChangesSince(sh.wgen)
@@ -486,17 +496,33 @@ func (p *CachePool) bump(changed []int32) {
 	}
 }
 
-// sharedLevels builds the level sets of D's rows on first use; bump
-// keeps them patched afterwards.
-func (p *CachePool) sharedLevels() {
+// sharedLevels reports whether D's level sets are available, building
+// them on first use if they fit the budget; bump keeps them patched
+// afterwards. Sets that do not fit are never tried again.
+func (p *CachePool) sharedLevels() bool {
 	sh := p.sh
-	if sh.lc != nil {
-		return
+	if sh.lc == nil && !sh.noLevels {
+		n := p.game.N()
+		sh.lc = graph.NewLevelCache(n, n)
+		for s := 0; s < n; s++ {
+			sh.lc.SetRow(s, sh.dist[s*n:(s+1)*n])
+		}
+		p.charge(&p.shBytes, p.sharedBytes())
+		if p.used.Load() > p.budget {
+			p.dropLevels()
+		}
 	}
-	n := p.game.N()
-	sh.lc = graph.NewLevelCache(n, n)
-	for s := 0; s < n; s++ {
-		sh.lc.SetRow(s, sh.dist[s*n:(s+1)*n])
+	return sh.lc != nil
+}
+
+// dropLevels releases the level sets of D and of every entry for good:
+// MAX scans stay on the row kernel from then on.
+func (p *CachePool) dropLevels() {
+	p.sh.lc, p.sh.noLevels = nil, true
+	p.charge(&p.shBytes, p.sharedBytes())
+	for _, e := range p.entries {
+		e.dv.lc, e.dv.inLv = nil, nil
+		p.charge(&e.bytes, e.dv.retainedBytes())
 	}
 }
 
@@ -602,9 +628,8 @@ func (p *CachePool) syncEntry(e *poolEntry, d *graph.Digraph) {
 			dv.in, inSame = in, false
 		}
 	}
-	// A reweighted pair {u,x} moves only x's offset; any other one may
-	// have reweighted an edge of G-u.
-	reweighted := false
+	// A reweighted pair {u,x} moves x's offset; every reweighted edge
+	// of G reaches the rows through D's version.
 	if p.wts != nil && dv.wgen != p.wts.Gen() {
 		changes, ok := p.wts.ChangesSince(dv.wgen)
 		for _, ch := range changes {
@@ -612,12 +637,9 @@ func (p *CachePool) syncEntry(e *poolEntry, d *graph.Digraph) {
 				x := int(ch.U) + int(ch.V) - u
 				dv.woff[x] = ch.New - 1
 				mark[x] = true
-			} else {
-				reweighted = true
 			}
 		}
 		if !ok {
-			reweighted = true
 			old := slices.Clone(dv.woff)
 			dv.rebuildWoff()
 			for v, o := range old {
@@ -630,14 +652,7 @@ func (p *CachePool) syncEntry(e *poolEntry, d *graph.Digraph) {
 	}
 	moved := dv.dver != sh.ver
 	if moved {
-		// intact: no edge of G-u moved since the entry synced, so its
-		// private rows are still exact.
-		intact := !reweighted && sameContent
-		if !intact && !reweighted && e.graph == d {
-			dl, ok := d.DeltaSince(e.gen, u, 0)
-			intact = ok && !dl.Oversized && len(dl.Removed)+len(dl.Added) == 0
-		}
-		p.syncRows(dv, intact)
+		p.syncRows(dv)
 	}
 	anchorStale := false
 	for _, v := range dv.in {
@@ -667,30 +682,22 @@ func (p *CachePool) syncEntry(e *poolEntry, d *graph.Digraph) {
 	}
 }
 
-// syncRows re-runs dv's damage test against D and installs the new
-// private rows, marking in sh.mark every candidate whose row (as row(v)
-// reads it) may have changed: a shared row whose content moved since
-// the entry synced, a private row whose content moved, and a row that
-// moved between private and shared. intact reports that G-u is
-// unchanged since the entry synced: rows damaged before keep their
-// content and the labels stand.
-func (p *CachePool) syncRows(dv *Deviator, intact bool) {
+// syncRows re-runs dv's damage test against D, refills the damaged
+// rows and relabels the components of G-u, marking in sh.mark every
+// candidate whose row (as row(v) reads it) changed: a shared row whose
+// content moved since the entry synced, a private row whose content
+// moved, and a row that moved between private and shared.
+func (p *CachePool) syncRows(dv *Deviator) {
 	sh := p.sh
 	u, n := dv.u, p.game.N()
 	damaged := p.damage(u)
 	need := len(damaged) * n
 	staged := getInt32(need) // transient: the new rows beside the old
-	refill, dst := sh.refill[:0], sh.dst[:0]
-	for i, s := range damaged {
-		slot := staged[i*n : (i+1)*n]
-		if k := int(dv.priv[s]); intact && k >= 0 {
-			copy(slot, dv.rows[k*n:(k+1)*n])
-			continue
-		}
-		refill, dst = append(refill, s), append(dst, slot)
+	dst := sh.dst[:0]
+	for i := range damaged {
+		dst = append(dst, staged[i*n:(i+1)*n])
 	}
-	sh.refill = refill
-	p.fillPrivate(u, refill, dst)
+	p.fillPrivate(u, damaged, dst)
 	newK := sh.priv
 	for v := range newK {
 		newK[v] = -1
@@ -729,15 +736,16 @@ func (p *CachePool) syncRows(dv *Deviator, intact bool) {
 	if privChanged {
 		dv.lc = nil
 	}
-	if !intact {
-		p.relabel(dv)
-	}
+	p.relabel(dv)
 	dv.dver = sh.ver
 }
 
 // account recharges D's state and entry e (nil: none) at their current
-// sizes and reports whether the pool is within budget. Over budget, e
-// is evicted — or, if that is not enough, every entry and D with them.
+// sizes and reports whether the pool is within budget with e (or, for
+// nil, with D) still held. Over budget, e is evicted first; if D's own
+// growth crossed the budget, D drops its level sets, then entries go in
+// player order, and D itself — unpooling every player — only when it
+// no longer fits alone.
 func (p *CachePool) account(e *poolEntry) bool {
 	p.charge(&p.shBytes, p.sharedBytes())
 	if e != nil {
@@ -752,12 +760,28 @@ func (p *CachePool) account(e *poolEntry) bool {
 			return false
 		}
 	}
-	for _, e := range p.entries {
-		p.evict(e)
+	if !p.sh.noLevels {
+		p.dropLevels()
 	}
+	for v := 0; v < len(p.out) && p.used.Load() > p.budget; v++ {
+		if x, ok := p.entries[v]; ok {
+			p.evict(x)
+		}
+	}
+	if p.used.Load() > p.budget {
+		p.dropShared()
+	}
+	return e == nil && p.sh != nil
+}
+
+// dropShared releases D, which no longer fits the budget alone, and
+// serves every player unpooled from then on.
+func (p *CachePool) dropShared() {
 	p.sh = nil
 	p.charge(&p.shBytes, 0)
-	return false
+	for v := range p.out {
+		p.out[v] = true
+	}
 }
 
 // charge moves the bytes charged at *at to b.
@@ -767,10 +791,11 @@ func (p *CachePool) charge(at *int64, b int64) {
 }
 
 // evict releases e's buffers and uncharges them; its player is served
-// unpooled until a later acquisition fits the budget again.
+// unpooled from then on.
 func (p *CachePool) evict(e *poolEntry) {
 	p.charge(&e.bytes, 0)
 	delete(p.entries, e.dv.u)
+	p.out[e.dv.u] = true
 	e.dv.releaseOwned()
 }
 
@@ -789,7 +814,7 @@ func (p *CachePool) sharedBytes() int64 {
 	}
 	b := 4*int64(cap(sh.dist)+cap(sh.csr.Indptr)+cap(sh.csr.Nbrs)+cap(sh.wcsr.Indptr)+cap(sh.wcsr.Nbrs)+cap(sh.wcsr.W)) +
 		8*int64(cap(sh.rowVer)) +
-		4*int64(cap(sh.damaged)+cap(sh.refill)+cap(sh.priv)+cap(sh.stale)+cap(sh.queue)) +
+		4*int64(cap(sh.damaged)+cap(sh.priv)+cap(sh.stale)+cap(sh.queue)) +
 		24*int64(cap(sh.dst)) + int64(cap(sh.mark))
 	if sh.lc != nil {
 		b += sh.lc.Bytes()
@@ -890,8 +915,7 @@ func (p *CachePool) Close() {
 	for _, e := range p.entries {
 		p.evict(e)
 	}
-	p.sh = nil
-	p.charge(&p.shBytes, 0)
+	p.dropShared()
 	p.resp = nil
 }
 

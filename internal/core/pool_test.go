@@ -190,6 +190,80 @@ func TestPoolAdmissionUnderPressure(t *testing.T) {
 	}
 }
 
+// A budget that holds the shared matrix and every MAX entry but not the
+// shared level sets must keep them all once the streaks reach the level
+// kernel: the level sets are refused, scans stay on the row kernel and
+// match the oracle, and the shared matrix is never dropped and filled
+// again. As greedy moves then grow the damage sets, a player whose
+// entry no longer fits is served unpooled from then on — never
+// re-admitted — and the pool never exceeds its budget.
+func TestPoolBudgetWithoutLevelSets(t *testing.T) {
+	g := UniformGame(48, 2, MAX)
+	n := g.N()
+	rng := rand.New(rand.NewSource(8006))
+	d := graph.RandomOutDigraph(g.Budgets, rng)
+	d.StartJournal(0)
+	// pass acquires and scans every player once, moving improvers when
+	// move is set; it returns how many were served pooled.
+	pass := func(pool *CachePool, move bool, evicted []bool) int {
+		t.Helper()
+		pooled := 0
+		for u := 0; u < n; u++ {
+			dv := pool.Acquire(d, u)
+			switch {
+			case dv.HasCache():
+				pooled++
+				if evicted != nil && evicted[u] {
+					t.Fatalf("player %d re-admitted after eviction", u)
+				}
+			case evicted != nil:
+				evicted[u] = true
+			}
+			br := GreedyDeviatorResponder(g, d, dv)
+			sameBR(t, "pooled greedy", br, oracle(g, d, u, nil, (*Game).greedyOn))
+			dv.Release()
+			if used := pool.BytesUsed(); used > pool.BytesBudget() && pool.BytesBudget() > 0 {
+				t.Fatalf("player %d: BytesUsed %d over budget %d", u, used, pool.BytesBudget())
+			}
+			if move && br.Improves() {
+				d.SetOut(u, br.Strategy)
+				pool.Invalidate()
+			}
+		}
+		return pooled
+	}
+	probe := NewCachePool(g, 0)
+	pass(probe, false, nil)
+	pass(probe, false, nil) // streaks at 1: still on the row kernel
+	budget := probe.BytesUsed()
+	pass(probe, false, nil)
+	if probe.sh.lc == nil || probe.BytesUsed() <= budget {
+		t.Fatal("an unbounded pool built no shared level sets")
+	}
+	probe.Close()
+
+	pool := NewCachePool(g, budget)
+	defer pool.Close()
+	for k := 0; k < 3; k++ {
+		if got := pass(pool, false, nil); got != n {
+			t.Fatalf("pass %d: %d of %d players pooled", k, got, n)
+		}
+	}
+	if pool.sh.lc != nil || !pool.sh.noLevels {
+		t.Fatal("level sets held beyond the budget")
+	}
+	if st := pool.Stats(); st.Fills != 1 || st.Unpooled != 0 || len(pool.entries) != n {
+		t.Fatalf("stats = %+v with %d entries, want 1 fill and every player resident", st, len(pool.entries))
+	}
+	evicted := make([]bool, n)
+	for k := 0; k < 4; k++ {
+		pass(pool, true, evicted)
+	}
+	if st := pool.Stats(); st.Fills != 1 {
+		t.Fatalf("stats = %+v, want exactly 1 fill of the shared matrix", st)
+	}
+}
+
 // retained sums, by reflection, the capacity in bytes of every slice
 // reachable from v through struct fields, pointers to structs and slice
 // elements — an independent recount of what CachePool.account charges.

@@ -12,8 +12,11 @@ import "repro/internal/graph"
 // spends O(n) per round to make most of those passes partial:
 //
 //   - Every cached row entry plus its offset is at least 0 — the floor
-//     the bounds start from. (A column-min floor over the rows would be
-//     no tighter: every row holds its own source at distance 0.)
+//     the bounds start from. For unweighted rows it is exact: every row
+//     holds its own source at distance 0. Weighted rows are stored raw
+//     and take their offset w(u,v)-1 at merge time, so a column's true
+//     floor min_v(d(v,w) + off_v) is often 1 or more; weighted scans
+//     prune with 0 all the same — less, never wrongly.
 //
 //   - Before a scan, tiered suffix bounds are taken over the running
 //     min-vector vec. The triangle inequality in G-u gives every

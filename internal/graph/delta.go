@@ -31,23 +31,14 @@ package graph
 //     low-diameter graphs the game produces, usually even when it is
 //     near (alternative parents abound).
 //
-// When the delta exceeds RepairCap edges or the damaged fraction
-// exceeds RepairRefillFraction the per-row plan is abandoned and the
-// call reports a whole-matrix rebuild, leaving the rows untouched: the
-// caller refills the matrix by the batched word-parallel filler, which
-// is faster per row than scalar BFS. Repair therefore never costs much
-// more than the refill it replaces.
-
-// RepairRefillFraction is the damaged-row fraction beyond which
-// RepairRows and RepairRowsWeighted give up on per-row work and ask for
-// a whole-matrix rebuild. Their one production caller, the cache pool's
-// shared matrix of the whole graph, repairs fastest with no damage limit
-// at all: on the n=512 SUM and MAX rows of BenchmarkDynamicsRound a
-// limit of 0.25 sent most early moves to a whole fill, and removing it
-// cut the median converge time by 20–33% (three alternating runs each,
-// 2 vCPUs). Only the delta cap (RepairCap) still triggers a
-// rebuild; tests lower the limit to exercise the rebuild path.
-var RepairRefillFraction = 1.0
+// When the delta exceeds RepairCap edges the per-row plan is abandoned
+// and the call reports a whole-matrix rebuild, leaving the rows
+// untouched: the caller refills the matrix by the batched word-parallel
+// filler. There is no limit on the damaged rows: on the n=512 SUM and
+// MAX rows of BenchmarkDynamicsRound, a limit of a quarter of the rows
+// sent most early moves to a whole refill, and the median converge time
+// was 25–50% longer than with no limit (three alternating runs each,
+// 2 vCPUs).
 
 // RepairCap is the largest edge delta RepairRows classifies for an
 // n-vertex matrix: against a larger one the O(n·|delta|) classification
@@ -59,7 +50,7 @@ func RepairCap(n int) int { return n/8 + 1 }
 type RepairStats struct {
 	RowsPatched  int // rows improved in place (additions only)
 	RowsRefilled int // damaged rows recomputed by fresh BFS
-	// FullRefill reports that the delta was too large or too damaging
+	// FullRefill reports that the delta was too large (past RepairCap)
 	// for per-row repair: RepairRows left the rows untouched for the
 	// caller to rebuild whole.
 	FullRefill bool
@@ -94,8 +85,8 @@ func NewDeltaScratch(n int) *DeltaScratch {
 // consistent with c. Self-classification makes the cost proportional to
 // the damage: untouched rows cost one scan over the delta, patched rows
 // one improvement BFS, damaged rows one fresh BFS. Past RepairCap
-// edges or RepairRefillFraction damaged rows it reports FullRefill and
-// leaves rows untouched for the caller to rebuild whole.
+// edges it reports FullRefill and leaves rows untouched for the caller
+// to rebuild whole.
 func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScratch) RepairStats {
 	n := c.N()
 	st := RepairStats{}
@@ -153,10 +144,6 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 				break
 			}
 		}
-	}
-	if float64(len(ds.damaged)) > RepairRefillFraction*float64(n) {
-		st.FullRefill = true
-		return st
 	}
 	if len(ds.damaged) > 0 {
 		// Word-parallel subset refill: 64 damaged rows per BFS pass,

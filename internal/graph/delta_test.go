@@ -39,7 +39,7 @@ func mutateOneOwner(d *Digraph, rng *rand.Rand) int {
 	return m
 }
 
-func checkRepairAgainstRefill(t *testing.T, old, cur Und, skip int) {
+func checkRepairAgainstRefill(t *testing.T, old, cur Und, skip int) RepairStats {
 	t.Helper()
 	n := len(old)
 	var oldCSR, newCSR *CSR
@@ -58,6 +58,7 @@ func checkRepairAgainstRefill(t *testing.T, old, cur Und, skip int) {
 				i/n, i%n, rows[i], want[i], removed, added, st)
 		}
 	}
+	return st
 }
 
 // repairOrRefill runs RepairRows and, on a FullRefill report, checks
@@ -111,20 +112,34 @@ func TestRepairRowsCompositeDelta(t *testing.T) {
 	}
 }
 
-// Forcing the refill threshold to zero exercises the full-refill path on
-// every damaged repair; forcing it to 1 forbids it. Both must agree.
+// A delta past RepairCap edges must take the whole-refill path (rows
+// left untouched for the caller) and one within it the per-row repair,
+// however many rows it damages; both must agree with a fresh fill.
 func TestRepairRowsThresholdPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	defer func(f float64) { RepairRefillFraction = f }(RepairRefillFraction)
-	for _, frac := range []float64{0, 1} {
-		RepairRefillFraction = frac
-		for trial := 0; trial < 60; trial++ {
-			n := 2 + rng.Intn(24)
-			d := randomDigraphFor(n, 2, rng)
-			old := d.Underlying()
+	var full, repaired int
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + rng.Intn(24)
+		d := randomDigraphFor(n, 2, rng)
+		old := d.Underlying()
+		for moves := 1 + rng.Intn(6); moves > 0; moves-- {
 			mutateOneOwner(d, rng)
-			checkRepairAgainstRefill(t, old, d.Underlying(), -1)
 		}
+		cur := d.Underlying()
+		removed, added := DiffUnd(old, cur, -1)
+		st := checkRepairAgainstRefill(t, old, cur, -1)
+		if past := len(removed)+len(added) > RepairCap(n); st.FullRefill != past {
+			t.Fatalf("trial %d n=%d: %d delta edges against cap %d, FullRefill=%v",
+				trial, n, len(removed)+len(added), RepairCap(n), st.FullRefill)
+		}
+		if st.FullRefill {
+			full++
+		} else if st.RowsRefilled > 0 {
+			repaired++
+		}
+	}
+	if full == 0 || repaired == 0 {
+		t.Fatalf("paths not both taken: %d whole refills, %d damaging repairs", full, repaired)
 	}
 }
 

@@ -96,7 +96,7 @@ func (g *Digraph) AddArc(u, v int) bool {
 	g.touch(u)
 	g.touch(v)
 	if g.j != nil {
-		e := arcDelta{owner: int32(u)}
+		var e arcDelta
 		if g.undToggle(u, v) {
 			e.undAdd = [][2]int32{normEdge(u, v)}
 		}
@@ -119,7 +119,7 @@ func (g *Digraph) RemoveArc(u, v int) bool {
 	g.touch(u)
 	g.touch(v)
 	if g.j != nil {
-		e := arcDelta{owner: int32(u)}
+		var e arcDelta
 		if g.undToggle(u, v) {
 			e.undRem = [][2]int32{normEdge(u, v)}
 		}
@@ -158,7 +158,6 @@ func (g *Digraph) SetOut(u int, s []int) {
 	g.bump()
 	g.touch(u)
 	var e arcDelta
-	e.owner = int32(u)
 	// Symmetric difference of two sorted lists: stamp every changed
 	// target and journal the net undirected toggles.
 	i, j := 0, 0

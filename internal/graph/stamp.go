@@ -34,7 +34,6 @@ var digraphID atomic.Uint64
 // alive).
 type arcDelta struct {
 	gen    int64
-	owner  int32
 	undAdd [][2]int32
 	undRem [][2]int32
 }
@@ -144,18 +143,15 @@ type EdgeDelta struct {
 }
 
 // DeltaSince reports the net undirected-edge delta of this graph
-// relative to its state at generation since, excluding edges incident
-// to u and mutations performed by u itself (both irrelevant to u's
-// deviation cache, which excludes u's owned arcs and vertex u); a
-// negative u excludes nothing, for a cache of the whole graph. ok is
-// false when the journal does not cover (since, Gen()] — the caller
-// must fall back to a full diff.
+// relative to its state at generation since. ok is false when the
+// journal does not cover (since, Gen()] — the caller must fall back to
+// a full diff.
 //
 // A non-negative limit caps the net delta the caller can use: a larger
 // one is reported as Oversized as soon as the remaining journal entries
 // could no longer cancel it back under the limit, before any list is
 // built or sorted. A negative limit always nets the whole delta.
-func (g *Digraph) DeltaSince(since int64, u, limit int) (dl EdgeDelta, ok bool) {
+func (g *Digraph) DeltaSince(since int64, limit int) (dl EdgeDelta, ok bool) {
 	if since == g.gen {
 		return dl, true
 	}
@@ -166,16 +162,11 @@ func (g *Digraph) DeltaSince(since int64, u, limit int) (dl EdgeDelta, ok bool) 
 	// scanning the whole window.
 	es := g.j.entries
 	es = es[sort.Search(len(es), func(i int) bool { return es[i].gen > since }):]
-	u32 := int32(u)
 	// First pass: the raw toggle count, which bounds how far the
 	// remaining entries can still cancel the net delta.
 	raw := 0
 	for i := range es {
-		e := &es[i]
-		if e.owner == u32 {
-			continue
-		}
-		raw += togglesOff(e.undAdd, u32) + togglesOff(e.undRem, u32)
+		raw += len(es[i].undAdd) + len(es[i].undRem)
 	}
 	if raw == 0 {
 		return dl, true
@@ -194,19 +185,11 @@ func (g *Digraph) DeltaSince(since int64, u, limit int) (dl EdgeDelta, ok bool) 
 		left--
 	}
 	for i := range es {
-		e := &es[i]
-		if e.owner == u32 {
-			continue
+		for _, ed := range es[i].undAdd {
+			toggle(ed, 1)
 		}
-		for _, ed := range e.undAdd {
-			if ed[0] != u32 && ed[1] != u32 {
-				toggle(ed, 1)
-			}
-		}
-		for _, ed := range e.undRem {
-			if ed[0] != u32 && ed[1] != u32 {
-				toggle(ed, -1)
-			}
+		for _, ed := range es[i].undRem {
+			toggle(ed, -1)
 		}
 		if limit >= 0 && nonzero-left > limit {
 			break // left is 0 after the last entry: the net delta itself
@@ -227,17 +210,6 @@ func (g *Digraph) DeltaSince(since int64, u, limit int) (dl EdgeDelta, ok bool) 
 	sortEdges(dl.Removed)
 	sortEdges(dl.Added)
 	return dl, true
-}
-
-// togglesOff counts the edges of es not incident to u.
-func togglesOff(es [][2]int32, u int32) int {
-	k := 0
-	for _, ed := range es {
-		if ed[0] != u && ed[1] != u {
-			k++
-		}
-	}
-	return k
 }
 
 func sortEdges(es [][2]int32) {

@@ -96,8 +96,8 @@ func TestStampAnchorCloneAndDivergence(t *testing.T) {
 }
 
 // TestStampDeltaSinceMatchesDiffUnd drives random mutation streams and
-// checks that the journal's net delta for every (checkpoint, player)
-// pair equals a ground-truth DiffUnd of snapshots, and that the node
+// checks that the journal's net delta from every checkpoint equals a
+// ground-truth DiffUnd of snapshots, under every cap, and that the node
 // stamps (TouchedSince) never under-report an in(u) change.
 func TestStampDeltaSinceMatchesDiffUnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -109,14 +109,13 @@ func TestStampDeltaSinceMatchesDiffUnd(t *testing.T) {
 		}
 		g.StartJournal(0)
 		type snap struct {
-			gen  int64
-			base []Und // base[u] = UnderlyingWithout(u)
-			in   [][]int
+			gen int64
+			und Und
+			in  [][]int
 		}
 		take := func() snap {
-			s := snap{gen: g.Gen(), base: make([]Und, n), in: make([][]int, n)}
+			s := snap{gen: g.Gen(), und: g.Underlying(), in: make([][]int, n)}
 			for u := 0; u < n; u++ {
-				s.base[u] = g.UnderlyingWithout(u)
 				s.in[u] = g.In(u)
 			}
 			return s
@@ -152,33 +151,34 @@ func TestStampDeltaSinceMatchesDiffUnd(t *testing.T) {
 		}
 		cur := take()
 		for _, old := range snaps {
+			dl, ok := g.DeltaSince(old.gen, -1)
+			if !ok {
+				t.Fatalf("trial %d: unbounded journal reported !ok", trial)
+			}
+			wantRem, wantAdd := DiffUnd(old.und, cur.und, -1)
+			if dl.Oversized || !edgesEqual(dl.Removed, wantRem) || !edgesEqual(dl.Added, wantAdd) {
+				t.Fatalf("trial %d since=%d: delta mismatch\n got -%v +%v (oversized %v)\nwant -%v +%v",
+					trial, old.gen, dl.Removed, dl.Added, dl.Oversized, wantRem, wantAdd)
+			}
 			for u := 0; u < n; u++ {
-				dl, ok := g.DeltaSince(old.gen, u, -1)
-				if !ok {
-					t.Fatalf("trial %d: unbounded journal reported !ok", trial)
-				}
-				wantRem, wantAdd := DiffUnd(old.base[u], cur.base[u], u)
-				if dl.Oversized || !edgesEqual(dl.Removed, wantRem) || !edgesEqual(dl.Added, wantAdd) {
-					t.Fatalf("trial %d u=%d since=%d: delta mismatch\n got -%v +%v (oversized %v)\nwant -%v +%v",
-						trial, u, old.gen, dl.Removed, dl.Added, dl.Oversized, wantRem, wantAdd)
-				}
 				inChanged := !intsEqual(old.in[u], cur.in[u])
 				if inChanged && !g.TouchedSince(u, old.gen) {
 					t.Fatalf("trial %d u=%d: in(u) changed but u untouched", trial, u)
 				}
-				// A capped query is oversized exactly when the net delta
-				// exceeds the cap, and otherwise returns the same delta.
-				limit := (u + int(old.gen)) % 6
-				capped, ok := g.DeltaSince(old.gen, u, limit)
+			}
+			// A capped query is oversized exactly when the net delta
+			// exceeds the cap, and otherwise returns the same delta.
+			for limit := 0; limit < 6; limit++ {
+				capped, ok := g.DeltaSince(old.gen, limit)
 				if !ok {
 					t.Fatalf("trial %d: capped query reported !ok", trial)
 				}
 				if over := len(wantRem)+len(wantAdd) > limit; capped.Oversized != over {
-					t.Fatalf("trial %d u=%d since=%d limit=%d: oversized=%v, net delta has %d edges",
-						trial, u, old.gen, limit, capped.Oversized, len(wantRem)+len(wantAdd))
+					t.Fatalf("trial %d since=%d limit=%d: oversized=%v, net delta has %d edges",
+						trial, old.gen, limit, capped.Oversized, len(wantRem)+len(wantAdd))
 				}
 				if !capped.Oversized && (!edgesEqual(capped.Removed, wantRem) || !edgesEqual(capped.Added, wantAdd)) {
-					t.Fatalf("trial %d u=%d limit=%d: capped delta differs from the full one", trial, u, limit)
+					t.Fatalf("trial %d limit=%d: capped delta differs from the full one", trial, limit)
 				}
 			}
 		}
@@ -195,20 +195,20 @@ func TestStampJournalOverflow(t *testing.T) {
 			g.RemoveArc(u, u+1)
 		}
 	}
-	if _, ok := g.DeltaSince(start, 0, -1); ok {
+	if _, ok := g.DeltaSince(start, -1); ok {
 		t.Fatal("overflowed journal still claimed coverage of the start")
 	}
 	recent := g.Gen()
 	g.AddArc(0, 5)
-	if _, ok := g.DeltaSince(recent, 1, -1); !ok {
+	if _, ok := g.DeltaSince(recent, -1); !ok {
 		t.Fatal("journal lost coverage of the most recent generation")
 	}
 	// Clones carry stamps but never the journal.
 	c := g.Clone()
-	if _, ok := c.DeltaSince(c.Gen()-1, 0, -1); ok {
+	if _, ok := c.DeltaSince(c.Gen()-1, -1); ok {
 		t.Fatal("clone inherited the journal")
 	}
-	if _, ok := c.DeltaSince(c.Gen(), 0, -1); !ok {
+	if _, ok := c.DeltaSince(c.Gen(), -1); !ok {
 		t.Fatal("same-generation query should be ok even without a journal")
 	}
 }

@@ -22,11 +22,10 @@ package graph
 //     Weighted distances exceed n, so the patch runs on the binary heap
 //     rather than delta.go's n+1-bucket queue.
 //
-// The thresholds mirror delta.go: classification is abandoned past
-// RepairCap delta edges or RepairRefillFraction damaged rows, and
-// the call reports FullRefill with the rows untouched for the caller to
-// rebuild whole. The fuzz and property suites pin the repaired rows
-// against a fresh fill, bit for bit.
+// The threshold mirrors delta.go: classification is abandoned past
+// RepairCap delta edges, and the call reports FullRefill with the rows
+// untouched for the caller to rebuild whole. The fuzz and property
+// suites pin the repaired rows against a fresh fill, bit for bit.
 
 // WDeltaScratch holds the reusable buffers of RepairRowsWeighted. Not
 // safe for concurrent use.
@@ -110,10 +109,6 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDel
 				break
 			}
 		}
-	}
-	if float64(len(ds.damaged)) > RepairRefillFraction*float64(n) {
-		st.FullRefill = true
-		return st
 	}
 	if len(ds.damaged) > 0 {
 		// Per-row Δ-stepping refill over the worker pool; no word-parallel

@@ -259,7 +259,7 @@ func weightedDelta(old, cur Und, skip int, snap map[[2]int32]int32, wts *Weights
 	return removed, added
 }
 
-func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32]int32, wts *Weights) {
+func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32]int32, wts *Weights) RepairStats {
 	t.Helper()
 	n := len(old)
 	oldCSR := &WCSR{MaxW: wts.MaxW()}
@@ -307,6 +307,7 @@ func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32
 				skip, i/n, i%n, rows[i], want[i], removed, added, st)
 		}
 	}
+	return st
 }
 
 // Weighted repair after mixed topology moves and weight changes must be
@@ -335,21 +336,36 @@ func TestRepairRowsWeightedMatchesRefill(t *testing.T) {
 	}
 }
 
-// The refill-fraction fallback and the never-refill path must agree.
+// The weighted twin of TestRepairRowsThresholdPaths: past RepairCap
+// delta edges (reweights count as removed + added) the whole refill,
+// within it the per-row repair, and both agree with Dijkstra.
 func TestRepairRowsWeightedThresholdPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	defer func(f float64) { RepairRefillFraction = f }(RepairRefillFraction)
-	for _, frac := range []float64{0, 1} {
-		RepairRefillFraction = frac
-		for trial := 0; trial < 50; trial++ {
-			n := 2 + rng.Intn(20)
-			d := randomDigraphFor(n, 2, rng)
-			wts := NewWeights(n, rng.Int63(), 7)
-			old := d.Underlying().Clone()
-			snap := weightSnapshot(wts)
+	var full, repaired int
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(20)
+		d := randomDigraphFor(n, 2, rng)
+		wts := NewWeights(n, rng.Int63(), 7)
+		old := d.Underlying().Clone()
+		snap := weightSnapshot(wts)
+		for moves := 1 + rng.Intn(4); moves > 0; moves-- {
 			mutateOneOwner(d, rng)
-			checkWeightedRepair(t, old, d.Underlying(), -1, snap, wts)
 		}
+		cur := d.Underlying()
+		removed, added := weightedDelta(old, cur, -1, snap, wts)
+		st := checkWeightedRepair(t, old, cur, -1, snap, wts)
+		if past := len(removed)+len(added) > RepairCap(n); st.FullRefill != past {
+			t.Fatalf("trial %d n=%d: %d delta edges against cap %d, FullRefill=%v",
+				trial, n, len(removed)+len(added), RepairCap(n), st.FullRefill)
+		}
+		if st.FullRefill {
+			full++
+		} else if st.RowsRefilled > 0 {
+			repaired++
+		}
+	}
+	if full == 0 || repaired == 0 {
+		t.Fatalf("paths not both taken: %d whole refills, %d damaging repairs", full, repaired)
 	}
 }
 
