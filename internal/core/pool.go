@@ -22,7 +22,7 @@ import (
 // (graph.DeletionDamage). So the pool keeps one exact matrix D = dist_G
 // of the whole graph, stored raw in the weighted tier too, over the
 // full-graph CSR (WCSR) it packs, and each entry keeps only the rows of
-// dist_{G-u} that u's deletion damages, refilled over the pool's CSR
+// dist_{G-u} that u's deletion damages, rebuilt over the pool's CSR
 // with u blocked (graph.RowsWithout). Every other row an entry reads is
 // D's; column u of a shared row is dist_G(v,u), not InfDist, and the
 // entry masks it with inMin[u] = -1 (distcache.go). Memory is O(n²) for
@@ -40,14 +40,16 @@ import (
 //     per entry. The mutation journal's edge delta (and, weighted, the
 //     weights change log: a reweighted edge is removed(old) +
 //     added(new)) repairs it in place (graph.RepairRows /
-//     RepairRowsWeighted). A whole fill remains only when the journal
-//     cannot cover the gap or the delta is past the repair caps. D keeps
-//     a version, bumped whenever the graph changed, and per row the
-//     version at which its content last changed.
+//     RepairRowsWeighted), touching only the vertices whose distance
+//     changes. A whole fill remains only when the journal cannot cover
+//     the gap or the delta is past the repair caps. D keeps a version,
+//     bumped whenever the graph changed, and per row the version at
+//     which its content last changed.
 //   - Damage test: an entry behind D's version re-runs the lost-parent
 //     test over D's rows; in(u) and the component labels of G-u (one
 //     BFS over the CSR with u blocked) are refreshed with it.
-//   - Private refill: the damaged rows are refilled with u blocked.
+//   - Private refill: the damaged rows are rebuilt with u blocked, by
+//     the batched BFS, or weighted, from D's rows repaired in place.
 //
 // Every rung is exact: an entry's rows equal a whole fill of G-u outside
 // column u, bit for bit, so pooled responders return what the uncached
@@ -111,7 +113,7 @@ type PoolStats struct {
 	Unpooled int64 // acquisitions served by a plain Deviator (over budget or closed)
 
 	RowsPatched  int64 // rows of D improved in place by the delta repair
-	RowsRefilled int64 // rows recomputed by fresh BFS/SSSP: D's damaged rows plus entries' private rows
+	RowsRefilled int64 // damaged rows: D's, repaired in place, plus entries' private rows
 	FullRefills  int64 // syncs of D whose delta was past the repair cap (also counted in Fills)
 
 	StampSkips   int64 // stale acquisitions settled by stamps alone (no damage test, no row touched)
@@ -182,8 +184,7 @@ type shared struct {
 	// holds: repair and refill buffers, the damaged rows and the
 	// destinations of their refills, per-vertex marks and private
 	// indices, and the component BFS queue.
-	ds      *graph.DeltaScratch
-	wds     *graph.WDeltaScratch
+	ds      graph.DeltaScratch
 	fs      graph.FillScratch
 	damaged []int32
 	dst     [][]int32
@@ -396,20 +397,14 @@ func (p *CachePool) repairShared(d *graph.Digraph) {
 			return // only brace halves moved: U(G) and D are unchanged
 		}
 		p.pack(d)
-		if sh.ds == nil {
-			sh.ds = graph.NewDeltaScratch(n)
-		}
-		st = sh.csr.RepairRows(sh.dist, dl.Removed, dl.Added, sh.ds)
+		st = sh.csr.RepairRows(sh.dist, dl.Removed, dl.Added, &sh.ds)
 	} else {
 		p.pack(d)
 		removed, added := p.weightedDelta(dl, changes)
 		if len(removed)+len(added) == 0 {
 			return // no edge of G moved or changed weight
 		}
-		if sh.wds == nil {
-			sh.wds = graph.NewWDeltaScratch(n)
-		}
-		st = sh.wcsr.RepairRowsWeighted(sh.dist, removed, added, sh.wds)
+		st = sh.wcsr.RepairRowsWeighted(sh.dist, removed, added, &sh.ds)
 	}
 	if st.FullRefill {
 		p.ctr.fullRefills.Add(1)
@@ -602,7 +597,7 @@ func (p *CachePool) fillPrivate(u int, srcs []int32, dst [][]int32) {
 	sh := p.sh
 	sh.dst = dst
 	if p.wts != nil {
-		sh.wcsr.RowsWithout(srcs, dst, int32(u), &sh.fs)
+		sh.wcsr.RowsWithout(sh.dist, srcs, dst, int32(u), &sh.fs)
 	} else {
 		sh.csr.RowsWithout(srcs, dst, int32(u), &sh.fs)
 	}

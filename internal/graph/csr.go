@@ -199,9 +199,8 @@ func (c *CSR) fillBatch(dst []int32, batch int, ms *maskScratch) {
 // fillRowsSubset recomputes the rows of up to 64 arbitrary sources by
 // one word-parallel BFS pass, writing source srcs[i]'s full row into
 // dst[i] (no symmetry trick: the subset is not a contiguous column
-// block). The repair path and the deletion refill (deletion.go) use it
-// to refill damaged rows at batch cost instead of one scalar BFS per
-// row. A non-negative block is treated as deleted: its reach mask
+// block). The deletion refill (CSR.RowsWithout) uses it to refill
+// damaged rows at batch cost instead of one scalar BFS per row. A non-negative block is treated as deleted: its reach mask
 // starts full, so it is never reached, never expanded and keeps InfDist
 // in every row — BFS over c minus block, without packing a second CSR.
 //

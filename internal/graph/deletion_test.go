@@ -90,7 +90,7 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 		}
 		damaged = wc.DeletionDamage(full, int32(y), nil)
 		priv = dst()
-		wc.RowsWithout(damaged, priv, int32(y), &fs)
+		wc.RowsWithout(full, damaged, priv, int32(y), &fs)
 		comps, _ = wc.ComponentsWithout(y, label, nil)
 	}
 	k := 0
@@ -159,4 +159,26 @@ func TestDeletionRowsMatchFill(t *testing.T) {
 		checkDeletion(t, d, nil, y)
 		checkDeletion(t, d, NewWeights(9, 3, 16), y)
 	}
+}
+
+// FuzzDeletionRows runs checkDeletion over fuzzed graphs and deleted
+// vertices (byte 1 picks y and the weights), in both tiers: RowsWithout
+// fed the whole graph's rows must match a fill of G−y (unweighted) or
+// the Dijkstra reference (weighted), with column y at InfDist and the
+// damage set exact.
+func FuzzDeletionRows(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, d := decodeGraph(data)
+		if d == nil {
+			return
+		}
+		n := d.N()
+		y, maxW := 0, int32(1)
+		if len(data) > 1 {
+			y, maxW = int(data[1])%n, int32(data[1])%64+1
+		}
+		checkDeletion(t, d, nil, y)
+		checkDeletion(t, d, NewWeights(n, int64(len(data)), maxW), y)
+	})
 }

@@ -19,17 +19,22 @@ package graph
 //     neighbour, and no other vertex lost any incident edge (all
 //     changed edges join the endpoints of R). If some orphan has no
 //     surviving parent, distances may have increased and the row is
-//     recomputed ("damaged").
+//     "damaged".
 //   - With R harmless, an added edge can only *decrease* distances, and
 //     only if some {a,b} in A has min(d(s,a), d(s,b)) finite and
 //     |d(s,a) - d(s,b)| >= 2 (take the improved vertex with the smallest
 //     new distance: its last edge must be an added one whose endpoints'
-//     old distances differ by >= 2). Such rows are patched in place by a
-//     monotone improvement-only BFS seeded from the added edges.
+//     old distances differ by >= 2). Such rows are "improvable".
 //   - Rows matching neither test are exactly valid as they stand — the
 //     common case when a move is far from the row's source, and, in the
 //     low-diameter graphs the game produces, usually even when it is
 //     near (alternative parents abound).
+//
+// Damaged and improvable rows are repaired in place by repairRow, the
+// Ramalingam–Reps step of dynamic SSSP: only the vertices whose
+// distance changes are touched. In the n=512 SUM and MAX converge runs
+// of BenchmarkDynamicsRound a move damages 260–290 rows, each with 2.9–
+// 3.3 such vertices on average, where a refill rewrites all 512.
 //
 // When the delta exceeds RepairCap edges the per-row plan is abandoned
 // and the call reports a whole-matrix rebuild, leaving the rows
@@ -49,33 +54,58 @@ func RepairCap(n int) int { return n/8 + 1 }
 // RepairStats reports what one RepairRows call did.
 type RepairStats struct {
 	RowsPatched  int // rows improved in place (additions only)
-	RowsRefilled int // damaged rows recomputed by fresh BFS
+	RowsRefilled int // damaged rows repaired in place
 	// FullRefill reports that the delta was too large (past RepairCap)
 	// for per-row repair: RepairRows left the rows untouched for the
 	// caller to rebuild whole.
 	FullRefill bool
-	// Changed lists the sources whose rows changed (damaged then
-	// patched), or nil after a FullRefill (every row may have changed).
-	// The slice aliases the scratch and is valid until the next call.
+	// Changed lists, in increasing order, the sources whose rows changed
+	// (damaged or patched), or nil after a FullRefill (every row may have
+	// changed). The slice aliases the scratch and is valid until the
+	// next call.
 	Changed []int32
 }
 
-// DeltaScratch holds the reusable buffers of RepairRows. Not safe for
-// concurrent use.
-type DeltaScratch struct {
-	queue   []int32
-	damaged []int32
-	patched []int32
-	changed []int32
-	buckets [][]int32 // improvement BFS bucket queue, indexed by distance
+// Marks of the in-place row repair, per vertex; zero between repairs.
+const (
+	markQueued   uint8 = 1 // a candidate of the affected-set search
+	markAffected uint8 = 2 // no unaffected parent: the distance is recomputed
+)
+
+// rowScratch is the reusable state of the in-place row repair
+// (repairRow, repairRowWeighted), kept across rows and calls so that a
+// repair allocates nothing.
+type rowScratch struct {
+	mark    []uint8   // markQueued | markAffected per vertex
+	touched []int32   // the vertices with a mark, for clearing
+	aff     []int32   // the affected set, in the order found
+	seeds   []int32   // the seeds of the row being classified
+	buckets [][]int32 // BFS rows: bucket queue indexed by distance
+	heap    []int64   // weighted rows: binary heap of dist<<32|vertex
 }
 
-// NewDeltaScratch returns repair scratch for n-vertex matrices.
-func NewDeltaScratch(n int) *DeltaScratch {
-	return &DeltaScratch{
-		queue:   make([]int32, 0, n),
-		buckets: make([][]int32, n+1),
+// fit sizes rs for n-vertex rows.
+func (rs *rowScratch) fit(n int) {
+	if len(rs.mark) != n {
+		rs.mark = make([]uint8, n)
+		rs.buckets = make([][]int32, n+1)
 	}
+}
+
+// clearMarks resets every mark the last repair set.
+func (rs *rowScratch) clearMarks() {
+	for _, v := range rs.touched {
+		rs.mark[v] = 0
+	}
+	rs.touched = rs.touched[:0]
+}
+
+// DeltaScratch holds the reusable buffers of RepairRows and
+// RepairRowsWeighted. Not safe for concurrent use; the zero value is
+// ready.
+type DeltaScratch struct {
+	rs      rowScratch
+	changed []int32
 }
 
 // RepairRows updates rows (the flat n×n distance matrix of the graph
@@ -83,10 +113,10 @@ func NewDeltaScratch(n int) *DeltaScratch {
 // it). removed and added list the undirected edges deleted from and
 // inserted into the graph, as endpoint pairs; they must be disjoint and
 // consistent with c. Self-classification makes the cost proportional to
-// the damage: untouched rows cost one scan over the delta, patched rows
-// one improvement BFS, damaged rows one fresh BFS. Past RepairCap
-// edges it reports FullRefill and leaves rows untouched for the caller
-// to rebuild whole.
+// the damage: untouched rows cost one scan over the delta, damaged and
+// improvable rows one in-place repair of the vertices that move. Past
+// RepairCap edges it reports FullRefill and leaves rows untouched for
+// the caller to rebuild whole.
 func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScratch) RepairStats {
 	n := c.N()
 	st := RepairStats{}
@@ -97,10 +127,12 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 		st.FullRefill = true
 		return st
 	}
-	ds.damaged = ds.damaged[:0]
-	ds.patched = ds.patched[:0]
+	rs := &ds.rs
+	rs.fit(n)
+	ds.changed = ds.changed[:0]
 	for s := 0; s < n; s++ {
 		row := rows[s*n : (s+1)*n]
+		seeds := rs.seeds[:0]
 		damaged := false
 		for _, e := range removed {
 			da, db := row[e[0]], row[e[1]]
@@ -116,6 +148,10 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 			default:
 				continue // not on any shortest path from s
 			}
+			seeds = append(seeds, child)
+			if damaged {
+				continue
+			}
 			// child lost parent; is another old-level parent still there?
 			alive := false
 			up := row[child] - 1
@@ -125,13 +161,13 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 					break
 				}
 			}
-			if !alive {
-				damaged = true
-				break
-			}
+			damaged = !alive
 		}
+		rs.seeds = seeds
 		if damaged {
-			ds.damaged = append(ds.damaged, int32(s))
+			c.repairRow(row, seeds, added, rs)
+			ds.changed = append(ds.changed, int32(s))
+			st.RowsRefilled++
 			continue
 		}
 		for _, e := range added {
@@ -140,83 +176,124 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 				da, db = db, da
 			}
 			if da < InfDist && db-da >= 2 {
-				ds.patched = append(ds.patched, int32(s))
+				if c.repairRow(row, nil, added, rs) {
+					ds.changed = append(ds.changed, int32(s))
+					st.RowsPatched++
+				}
 				break
 			}
 		}
 	}
-	if len(ds.damaged) > 0 {
-		// Word-parallel subset refill: 64 damaged rows per BFS pass,
-		// batches distributed over the worker pool.
-		batches := (len(ds.damaged) + 63) / 64
-		parallelRange(batches, 2,
-			func() *maskScratch { return newMaskScratch(n) },
-			func(ms *maskScratch, b int) {
-				lo := b * 64
-				hi := min(lo+64, len(ds.damaged))
-				dst := make([][]int32, hi-lo)
-				for i, s := range ds.damaged[lo:hi] {
-					dst[i] = rows[int(s)*n : (int(s)+1)*n]
-				}
-				c.fillRowsSubset(ds.damaged[lo:hi], dst, -1, ms)
-			})
-	}
-	ds.changed = append(ds.changed[:0], ds.damaged...)
-	for _, s := range ds.patched {
-		if c.patchRow(rows[int(s)*n:(int(s)+1)*n], added, ds) {
-			ds.changed = append(ds.changed, s)
-			st.RowsPatched++
-		}
-	}
-	st.RowsRefilled = len(ds.damaged)
 	st.Changed = ds.changed
 	return st
 }
 
-// patchRow applies the improvement-only repair to one row: distances can
-// only have decreased, every decrease routes through an added edge, and
-// processing tentative improvements in increasing distance order (a
-// bucket queue; all arc weights are 1) settles each vertex at its exact
-// new distance. It reports whether any cell actually changed, so
-// shadow structures (the level cache) are only rebuilt for rows that
-// moved.
-func (c *CSR) patchRow(row []int32, added [][2]int32, ds *DeltaScratch) bool {
-	changed := false
-	maxd := int32(0)
+// repairRow updates row, the exact BFS distances from one source over
+// the graph before a change, to the distances over c after it — the
+// Ramalingam–Reps step. seeds are the children of the removed edges
+// (the vertices that lost a parent one level up) and added the inserted
+// edges. Three phases:
+//
+//  1. The affected set: a seed, or a child of an affected vertex, is
+//     affected when no unaffected neighbour over c sits one old level
+//     up. Candidates are decided in increasing old distance, so all of a
+//     vertex's parents are decided before it. Every unaffected vertex
+//     keeps a path of its old length through unaffected parents, so its
+//     old distance bounds its new one from above. This phase only reads
+//     the row.
+//  2. Each affected vertex takes one more than the least old distance of
+//     its unaffected neighbours (InfDist if none), and each added edge
+//     whose far end improves on the near end plus one seeds that end.
+//  3. A bucket queue settles the seeded vertices in distance order,
+//     relaxing only where a distance drops.
+//
+// Every value is the length of a path over c throughout, and a shortest
+// path's last edge is relaxed by phase 3 or was accounted for by phase
+// 2, so the result is exact. It reports whether any cell was written.
+func (c *CSR) repairRow(row []int32, seeds []int32, added [][2]int32, rs *rowScratch) bool {
+	b := rs.buckets
+	lo, hi := int32(len(b)), int32(-1)
 	push := func(v, d int32) {
-		changed = true
-		row[v] = d
-		ds.buckets[d] = append(ds.buckets[d], v)
-		if d > maxd {
-			maxd = d
+		b[d] = append(b[d], v)
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	for _, v := range seeds {
+		if rs.mark[v] == 0 {
+			rs.mark[v] = markQueued
+			rs.touched = append(rs.touched, v)
+			push(v, row[v])
 		}
 	}
+	aff := rs.aff[:0]
+	for d := lo; d <= hi; d++ {
+		// Candidates only queue children at d+1, so b[d] is stable.
+		for _, v := range b[d] {
+			parented := false
+			for _, w := range c.Nbrs[c.Indptr[v]:c.Indptr[v+1]] {
+				if row[w] == d-1 && rs.mark[w]&markAffected == 0 {
+					parented = true
+					break
+				}
+			}
+			if parented {
+				continue
+			}
+			rs.mark[v] |= markAffected
+			aff = append(aff, v)
+			for _, x := range c.Nbrs[c.Indptr[v]:c.Indptr[v+1]] {
+				if row[x] == d+1 && rs.mark[x] == 0 {
+					rs.mark[x] = markQueued
+					rs.touched = append(rs.touched, x)
+					push(x, d+1)
+				}
+			}
+		}
+		b[d] = b[d][:0]
+	}
+	lo, hi = int32(len(b)), -1
+	for _, v := range aff {
+		best := InfDist
+		for _, w := range c.Nbrs[c.Indptr[v]:c.Indptr[v+1]] {
+			if rs.mark[w]&markAffected == 0 {
+				best = min(best, row[w]+1)
+			}
+		}
+		row[v] = best
+		if best < InfDist {
+			push(v, best)
+		}
+	}
+	rs.aff = aff
+	rs.clearMarks()
+	changed := len(aff) > 0
 	for _, e := range added {
-		a, b := e[0], e[1]
+		a, w := e[0], e[1]
 		// A finite distance is < InfDist, so d+1 <= InfDist never beats
 		// an unreachable InfDist entry spuriously.
-		if row[a]+1 < row[b] {
-			push(b, row[a]+1)
-		} else if row[b]+1 < row[a] {
-			push(a, row[b]+1)
+		if row[a]+1 < row[w] {
+			row[w] = row[a] + 1
+			push(w, row[w])
+			changed = true
+		} else if row[w]+1 < row[a] {
+			row[a] = row[w] + 1
+			push(a, row[a])
+			changed = true
 		}
 	}
-	for d := int32(0); d <= maxd; d++ {
-		bucket := ds.buckets[d]
-		for i := 0; i < len(bucket); i++ {
-			v := bucket[i]
+	for d := lo; d <= hi; d++ {
+		// Relaxations queue at d+1 only, so b[d] is stable.
+		for _, v := range b[d] {
 			if row[v] != d {
 				continue // superseded by a smaller tentative distance
 			}
-			dn := d + 1
 			for _, w := range c.Nbrs[c.Indptr[v]:c.Indptr[v+1]] {
-				if dn < row[w] {
-					push(w, dn)
+				if d+1 < row[w] {
+					row[w] = d + 1
+					push(w, d+1)
 				}
 			}
-			bucket = ds.buckets[d] // pushes at d+1 only; reload for safety
 		}
-		ds.buckets[d] = bucket[:0]
+		b[d] = b[d][:0]
 	}
 	return changed
 }

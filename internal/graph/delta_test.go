@@ -67,7 +67,7 @@ func checkRepairAgainstRefill(t *testing.T, old, cur Und, skip int) RepairStats 
 func repairOrRefill(t *testing.T, c *CSR, rows []int32, removed, added [][2]int32) RepairStats {
 	t.Helper()
 	before := append([]int32(nil), rows...)
-	st := c.RepairRows(rows, removed, added, NewDeltaScratch(c.N()))
+	st := c.RepairRows(rows, removed, added, &DeltaScratch{})
 	if st.FullRefill {
 		for i := range rows {
 			if rows[i] != before[i] {
@@ -173,7 +173,7 @@ func TestRepairRowsNoDelta(t *testing.T) {
 	c := NewCSR(d.Underlying())
 	rows := c.DistanceRows()
 	before := append([]int32(nil), rows...)
-	st := c.RepairRows(rows, nil, nil, NewDeltaScratch(12))
+	st := c.RepairRows(rows, nil, nil, &DeltaScratch{})
 	if st.RowsPatched+st.RowsRefilled != 0 || st.FullRefill {
 		t.Fatalf("empty delta did work: %+v", st)
 	}

@@ -194,11 +194,49 @@ func FuzzDeviationCSR(f *testing.F) {
 	})
 }
 
+// rewireMovers rewires up to three movers of d, as a few moves between
+// two syncs of the pool's shared matrix: mover k is movers[k] mod n and
+// takes as its new out-set the vertices named by the tail bytes at
+// positions k, k+len(movers), …. A move that would put the netted delta
+// past RepairCap (fits reports false) is cut to its longest prefix that
+// fits, or undone, so the composite delta, removals and additions
+// interacting, always reaches the per-row repair. It returns the first
+// mover (0 without movers).
+func rewireMovers(d *Digraph, movers, tail []byte, fits func() bool) int {
+	n := d.N()
+	for k, mb := range movers {
+		m := int(mb) % n
+		have := make([]bool, n)
+		var out []int
+		for i := k; i < len(tail); i += len(movers) {
+			if v := int(tail[i]) % n; v != m && !have[v] {
+				have[v] = true
+				out = append(out, v)
+			}
+		}
+		prev := append([]int(nil), d.Out(m)...)
+		for l := len(out); ; l-- {
+			if l < 0 {
+				d.SetOut(m, prev)
+				break
+			}
+			d.SetOut(m, out[:l])
+			if fits() {
+				break
+			}
+		}
+	}
+	if len(movers) == 0 {
+		return 0
+	}
+	return int(movers[0]) % n
+}
+
 // FuzzDeltaBFS drives the incremental repair path: decode a graph,
-// rewire one fuzz-chosen vertex's out-set, and require the repaired
-// distance matrix (RepairRows over the DiffUnd edge delta) to equal a
-// fresh refill — both for the plain CSR and for a CSR with an excluded
-// vertex, the exact shape the deviation-cache pool repairs.
+// rewire up to three fuzz-chosen movers (bytes 1–3 pick them, the rest
+// name their new out-sets), and require the repaired distance matrix
+// (RepairRows over the DiffUnd edge delta) to equal a fresh refill —
+// both for the plain CSR and for a CSR with an excluded vertex.
 func FuzzDeltaBFS(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -208,23 +246,13 @@ func FuzzDeltaBFS(f *testing.F) {
 		}
 		n := d.N()
 		old := d.Underlying()
-		// Consume the tail as (mover, new out-set) and apply the move.
-		m := 0
-		var out []int
-		if len(data) > 1 {
-			m = int(data[1]) % n
-			have := make([]bool, n)
-			for _, b := range data[2:] {
-				v := int(b) % n
-				if v != m && !have[v] {
-					have[v] = true
-					out = append(out, v)
-				}
-			}
-		}
-		d.SetOut(m, out)
+		movers := data[1:min(4, len(data))]
+		m := rewireMovers(d, movers, data[1+len(movers):], func() bool {
+			removed, added := DiffUnd(old, d.Underlying(), -1)
+			return len(removed)+len(added) <= RepairCap(n)
+		})
 		cur := d.Underlying()
-		for _, skip := range []int{-1, m % n} {
+		for _, skip := range []int{-1, m} {
 			var oldCSR, newCSR *CSR
 			if skip >= 0 {
 				oldCSR, newCSR = NewCSRExcluding(old, skip), NewCSRExcluding(cur, skip)
@@ -233,7 +261,9 @@ func FuzzDeltaBFS(f *testing.F) {
 			}
 			rows := oldCSR.DistanceRows()
 			removed, added := DiffUnd(old, cur, skip)
-			repairOrRefill(t, newCSR, rows, removed, added)
+			if st := repairOrRefill(t, newCSR, rows, removed, added); st.FullRefill {
+				t.Fatalf("skip=%d: delta of %d edges past RepairCap %d", skip, len(removed)+len(added), RepairCap(n))
+			}
 			want := newCSR.DistanceRows()
 			for i := range want {
 				if rows[i] != want[i] {

@@ -11,36 +11,23 @@ package graph
 //     by induction in old-distance order every such certificate keeps
 //     all old distances achievable, so rows whose orphans all have
 //     certificates never increased. Rows with an uncertified orphan are
-//     damaged and refilled by a fresh per-row SSSP.
+//     damaged.
 //   - With increases ruled out, an added (or weight-decreased) edge
 //     {a,b,w} can only decrease distances, and only when
 //     min(row[a], row[b]) + w < max(row[a], row[b]). Such rows are
-//     patched in place by an improvement-only Dijkstra seeded from the
-//     added edges: every decreased vertex's new shortest path crosses a
-//     seed edge (a path avoiding them is no shorter than before), so
-//     relaxation from the seeds settles each moved vertex exactly.
-//     Weighted distances exceed n, so the patch runs on the binary heap
-//     rather than delta.go's n+1-bucket queue.
+//     improvable: every decreased vertex's new shortest path crosses an
+//     added edge (a path avoiding them is no shorter than before).
+//
+// Both are repaired in place by repairRowWeighted, delta.go's
+// Ramalingam–Reps step over tight arcs instead of levels. Weighted
+// distances exceed n, so it orders its queues on the binary heap
+// rather than delta.go's n+1-bucket queue. The same kernel with a
+// blocked vertex repairs the rows of a vertex deletion (deletion.go).
 //
 // The threshold mirrors delta.go: classification is abandoned past
 // RepairCap delta edges, and the call reports FullRefill with the rows
 // untouched for the caller to rebuild whole. The fuzz and property
-// suites pin the repaired rows against a fresh fill, bit for bit.
-
-// WDeltaScratch holds the reusable buffers of RepairRowsWeighted. Not
-// safe for concurrent use.
-type WDeltaScratch struct {
-	damaged []int32
-	patched []int32
-	changed []int32
-	heap    []int64
-}
-
-// NewWDeltaScratch returns weighted repair scratch for n-vertex
-// matrices.
-func NewWDeltaScratch(n int) *WDeltaScratch {
-	return &WDeltaScratch{heap: make([]int64, 0, n)}
-}
+// suites pin the repaired rows against a scalar Dijkstra, bit for bit.
 
 // RepairRowsWeighted updates rows (the flat n×n weighted distance
 // matrix of the graph *before* the delta) to the distances over c (the
@@ -50,7 +37,7 @@ func NewWDeltaScratch(n int) *WDeltaScratch {
 // matrix is bit-identical to a fresh DistanceRowsInto fill; a
 // FullRefill report leaves rows untouched for the caller to rebuild
 // whole.
-func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDeltaScratch) RepairStats {
+func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *DeltaScratch) RepairStats {
 	n := c.N()
 	st := RepairStats{}
 	if n == 0 || len(removed)+len(added) == 0 {
@@ -60,10 +47,12 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDel
 		st.FullRefill = true
 		return st
 	}
-	ds.damaged = ds.damaged[:0]
-	ds.patched = ds.patched[:0]
+	rs := &ds.rs
+	rs.fit(n)
+	ds.changed = ds.changed[:0]
 	for s := 0; s < n; s++ {
 		row := rows[s*n : (s+1)*n]
+		seeds := rs.seeds[:0]
 		damaged := false
 		for _, e := range removed {
 			da, db := row[e.A], row[e.B]
@@ -82,6 +71,10 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDel
 			default:
 				continue // not tight on any shortest path from s
 			}
+			seeds = append(seeds, child)
+			if damaged {
+				continue
+			}
 			target := row[child]
 			alive := false
 			for k := c.Indptr[child]; k < c.Indptr[child+1]; k++ {
@@ -90,13 +83,13 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDel
 					break
 				}
 			}
-			if !alive {
-				damaged = true
-				break
-			}
+			damaged = !alive
 		}
+		rs.seeds = seeds
 		if damaged {
-			ds.damaged = append(ds.damaged, int32(s))
+			c.repairRowWeighted(row, seeds, added, -1, rs)
+			ds.changed = append(ds.changed, int32(s))
+			st.RowsRefilled++
 			continue
 		}
 		for _, e := range added {
@@ -105,40 +98,86 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, removed, added []WEdge, ds *WDel
 				da, db = db, da
 			}
 			if da < InfDist && da+e.W < db {
-				ds.patched = append(ds.patched, int32(s))
+				if c.repairRowWeighted(row, nil, added, -1, rs) {
+					ds.changed = append(ds.changed, int32(s))
+					st.RowsPatched++
+				}
 				break
 			}
 		}
 	}
-	if len(ds.damaged) > 0 {
-		// Per-row Δ-stepping refill over the worker pool; no word-parallel
-		// batching here — weighted frontiers carry no level structure to
-		// share across sources.
-		parallelRange(len(ds.damaged), 8,
-			func() *wScratch { return newWScratch(c.MaxW) },
-			func(ws *wScratch, i int) {
-				s := ds.damaged[i]
-				c.steppingRow(s, rows[int(s)*n:(int(s)+1)*n], -1, ws)
-			})
-	}
-	ds.changed = append(ds.changed[:0], ds.damaged...)
-	for _, s := range ds.patched {
-		if c.patchRowWeighted(rows[int(s)*n:(int(s)+1)*n], added, ds) {
-			ds.changed = append(ds.changed, s)
-			st.RowsPatched++
-		}
-	}
-	st.RowsRefilled = len(ds.damaged)
 	st.Changed = ds.changed
 	return st
 }
 
-// patchRowWeighted applies the improvement-only Dijkstra repair to one
-// row, seeded from the added edges. It reports whether any cell
-// actually changed.
-func (c *WCSR) patchRowWeighted(row []int32, added []WEdge, ds *WDeltaScratch) bool {
-	changed := false
-	h := ds.heap[:0]
+// repairRowWeighted is repairRow over raw weighted rows: a parent of v
+// is a neighbour x with row[x] + w(x,v) == row[v], and both queues are
+// the binary heap. seeds are the children of the removed edges and
+// added the inserted ones. A non-negative block is deleted with all its
+// edges: it must be in no added edge, it is never a parent, never
+// relaxed, and it ends at InfDist — a row of c minus block, from that
+// row of c and block's children as seeds. It reports whether any cell
+// other than block's was written.
+func (c *WCSR) repairRowWeighted(row []int32, seeds []int32, added []WEdge, block int32, rs *rowScratch) bool {
+	h := rs.heap[:0]
+	if block >= 0 {
+		rs.mark[block] = markAffected
+		rs.touched = append(rs.touched, block)
+	}
+	for _, v := range seeds {
+		if rs.mark[v] == 0 {
+			rs.mark[v] = markQueued
+			rs.touched = append(rs.touched, v)
+			h = heapPush(h, int64(row[v])<<32|int64(v))
+		}
+	}
+	// Phase 1: candidates pop in increasing old distance, and every
+	// parent is strictly closer, so parents are decided first.
+	aff := rs.aff[:0]
+	for len(h) > 0 {
+		var e int64
+		e, h = heapPop(h)
+		v := int32(e & 0xffffffff)
+		dv := row[v]
+		parented := false
+		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
+			if w := c.Nbrs[k]; row[w]+c.W[k] == dv && rs.mark[w]&markAffected == 0 {
+				parented = true
+				break
+			}
+		}
+		if parented {
+			continue
+		}
+		rs.mark[v] |= markAffected
+		aff = append(aff, v)
+		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
+			if x := c.Nbrs[k]; row[x] == dv+c.W[k] && rs.mark[x] == 0 {
+				rs.mark[x] = markQueued
+				rs.touched = append(rs.touched, x)
+				h = heapPush(h, int64(row[x])<<32|int64(x))
+			}
+		}
+	}
+	// Phase 2.
+	for _, v := range aff {
+		best := InfDist
+		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
+			if w := c.Nbrs[k]; rs.mark[w]&markAffected == 0 {
+				best = min(best, row[w]+c.W[k])
+			}
+		}
+		row[v] = best
+		if best < InfDist {
+			h = heapPush(h, int64(best)<<32|int64(v))
+		}
+	}
+	rs.aff = aff
+	rs.clearMarks()
+	if block >= 0 {
+		row[block] = InfDist
+	}
+	changed := len(aff) > 0
 	for _, e := range added {
 		da, db := row[e.A], row[e.B]
 		// InfDist + weight stays above any finite entry (and above
@@ -153,23 +192,23 @@ func (c *WCSR) patchRowWeighted(row []int32, added []WEdge, ds *WDeltaScratch) b
 			changed = true
 		}
 	}
+	// Phase 3.
 	for len(h) > 0 {
 		var e int64
 		e, h = heapPop(h)
 		d := int32(e >> 32)
 		v := int32(e & 0xffffffff)
 		if row[v] != d {
-			continue
+			continue // superseded by a smaller tentative distance
 		}
 		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
 			w := c.Nbrs[k]
-			nd := d + c.W[k]
-			if nd < row[w] {
+			if nd := d + c.W[k]; nd < row[w] && w != block {
 				row[w] = nd
 				h = heapPush(h, int64(nd)<<32|int64(w))
 			}
 		}
 	}
-	ds.heap = h
+	rs.heap = h
 	return changed
 }

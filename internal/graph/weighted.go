@@ -254,10 +254,10 @@ func NewWCSRExcluding(a Und, wts *Weights, u int) *WCSR {
 	return &WCSR{Indptr: indptr, Nbrs: nbrs, W: ws, MaxW: wts.MaxW()}
 }
 
-// wScratch is the per-worker state of the weighted fills: the Δ-stepping
-// bucket ring, reused across sources (the SNIPPETS bucket/workspace-reuse
-// idiom — per-source allocation would dominate the scan on settled
-// low-diameter graphs).
+// wScratch is the per-worker state of the whole weighted fill: the
+// Δ-stepping bucket ring, reused across sources (the SNIPPETS
+// bucket/workspace-reuse idiom — per-source allocation would dominate
+// the scan on settled low-diameter graphs).
 type wScratch struct {
 	buckets [][]int32 // ring, indexed by (trueDist/delta) mod len
 }
@@ -286,27 +286,22 @@ func newWScratch(maxW int32) *wScratch {
 func (c *WCSR) DistanceRowsInto(dst []int32) {
 	n := c.N()
 	parallelRange(n, 64, func() *wScratch { return newWScratch(c.MaxW) }, func(ws *wScratch, src int) {
-		c.steppingRow(int32(src), dst[src*n:(src+1)*n], -1, ws)
+		c.steppingRow(int32(src), dst[src*n:(src+1)*n], ws)
 	})
 }
 
-// steppingRow is one Δ-stepping SSSP: tentative distances live in the
-// row, vertices are queued in the bucket of their distance divided by
-// Δ, and each bucket is scanned to a fixed point (light edges requeue
-// into the bucket being scanned, which the in-loop reload picks up)
-// before the ring advances. Stale queue entries are skipped by the lazy validity
-// check against the row. A non-negative block (never src) is treated
-// as deleted: it holds a below-any-distance placeholder during the scan,
-// so no relaxation enters it, and ends at InfDist — SSSP over c minus
-// block without packing a second WCSR.
-func (c *WCSR) steppingRow(src int32, row []int32, block int32, ws *wScratch) {
+// steppingRow is one Δ-stepping SSSP, the whole-row fill of
+// DistanceRowsInto: tentative distances live in the row, vertices are
+// queued in the bucket of their distance divided by Δ, and each bucket
+// is scanned to a fixed point (light edges requeue into the bucket being
+// scanned, which the in-loop reload picks up) before the ring advances.
+// Stale queue entries are skipped by the lazy validity check against
+// the row.
+func (c *WCSR) steppingRow(src int32, row []int32, ws *wScratch) {
 	for i := range row {
 		row[i] = InfDist
 	}
 	row[src] = 0
-	if block >= 0 {
-		row[block] = -1
-	}
 	delta := steppingDelta(c.MaxW)
 	nb := len(ws.buckets)
 	ws.buckets[0] = append(ws.buckets[0][:0], src)
@@ -334,9 +329,6 @@ func (c *WCSR) steppingRow(src int32, row []int32, block int32, ws *wScratch) {
 			b = ws.buckets[cur%nb] // light-edge pushes land here; reload
 		}
 		ws.buckets[cur%nb] = b[:0]
-	}
-	if block >= 0 {
-		row[block] = InfDist
 	}
 }
 

@@ -288,7 +288,7 @@ func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32
 	newCSR := NewWCSRExcluding(cur, wts, skip)
 	removed, added := weightedDelta(old, cur, skip, snap, wts)
 	before := append([]int32(nil), rows...)
-	st := newCSR.RepairRowsWeighted(rows, removed, added, NewWDeltaScratch(n))
+	st := newCSR.RepairRowsWeighted(rows, removed, added, &DeltaScratch{})
 	if st.FullRefill {
 		for i := range rows {
 			if rows[i] != before[i] {
@@ -370,9 +370,12 @@ func TestRepairRowsWeightedThresholdPaths(t *testing.T) {
 }
 
 // FuzzWeightedRepair drives the weighted incremental-repair path with
-// fuzz-chosen graphs, weights and mutation streams: the repaired matrix
-// must equal a scalar Dijkstra refill bit for bit — the weighted
-// analogue of FuzzDeltaBFS.
+// fuzz-chosen graphs, weights and mutation streams: byte 1 sets the
+// weights, bytes 2–4 pick up to three movers, and the tail names their
+// new out-sets, every third byte a weight set instead. The composite
+// delta stays within RepairCap (a weight set that would pass it is
+// undone), and the repaired matrix must equal a scalar Dijkstra refill
+// bit for bit — the weighted analogue of FuzzDeltaBFS.
 func FuzzWeightedRepair(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -390,34 +393,38 @@ func FuzzWeightedRepair(f *testing.F) {
 		wts := NewWeights(n, seed, maxW)
 		old := d.Underlying().Clone()
 		snap := weightSnapshot(wts)
-		// Consume the tail alternately as weight sets and one topology
-		// move, mirroring the serve/dynamics mutation mix.
-		m := 0
-		var out []int
-		if len(data) > 2 {
-			m = int(data[2]) % n
-			have := make([]bool, n)
-			for i, b := range data[3:] {
-				v := int(b) % n
-				if i%3 == 2 {
-					// Weight mutation on a fuzz-chosen pair.
-					u2 := int(b) % n
-					v2 := (int(b) / 7) % n
-					if u2 != v2 {
-						_ = wts.Set(u2, v2, int32(b)%maxW+1)
-					}
-					continue
-				}
-				if v != m && !have[v] {
-					have[v] = true
-					out = append(out, v)
-				}
+		fits := func() bool {
+			removed, added := weightedDelta(old, d.Underlying(), -1, snap, wts)
+			return len(removed)+len(added) <= RepairCap(n)
+		}
+		rest := data[min(2, len(data)):]
+		movers := rest[:min(3, len(rest))]
+		var outs, sets []byte
+		for i, b := range rest[len(movers):] {
+			if i%3 == 2 {
+				sets = append(sets, b)
+			} else {
+				outs = append(outs, b)
 			}
-			d.SetOut(m, out)
+		}
+		m := rewireMovers(d, movers, outs, fits)
+		for _, b := range sets {
+			// Weight mutation on a fuzz-chosen pair.
+			u2, v2 := int(b)%n, (int(b)/7)%n
+			if u2 == v2 {
+				continue
+			}
+			prev := wts.Of(u2, v2)
+			_ = wts.Set(u2, v2, int32(b)%maxW+1)
+			if !fits() {
+				_ = wts.Set(u2, v2, prev)
+			}
 		}
 		cur := d.Underlying()
-		for _, skip := range []int{-1, m % n} {
-			checkWeightedRepair(t, old, cur, skip, snap, wts)
+		for _, skip := range []int{-1, m} {
+			if st := checkWeightedRepair(t, old, cur, skip, snap, wts); st.FullRefill {
+				t.Fatalf("skip=%d: delta past RepairCap %d", skip, RepairCap(n))
+			}
 		}
 	})
 }

@@ -141,7 +141,8 @@ type (
 // player, the rows its deletion damages. PoolStats are its lifetime
 // counters: Fills (whole fills of the shared matrix), DeltaRepairs and
 // Resyncs (its journal repairs and journal-gap refills), RowsRefilled
-// (rows recomputed, shared or private), StampSkips, MemoHits, ...
+// (damaged rows, shared ones repaired in place and private ones
+// rebuilt), StampSkips, MemoHits, ...
 // (see core.PoolStats).
 type (
 	CachePool = core.CachePool
