@@ -408,19 +408,20 @@ func FuzzWeightedRepair(f *testing.F) {
 			}
 		}
 		m := rewireMovers(d, movers, outs, fits)
+		cur := d.Underlying()
 		for _, b := range sets {
-			// Weight mutation on a fuzz-chosen pair.
+			// Weight mutation on a fuzz-chosen pair; only an edge of both
+			// graphs carries it into the delta.
 			u2, v2 := int(b)%n, (int(b)/7)%n
 			if u2 == v2 {
 				continue
 			}
 			prev := wts.Of(u2, v2)
 			_ = wts.Set(u2, v2, int32(b)%maxW+1)
-			if !fits() {
+			if old.HasEdge(u2, v2) && cur.HasEdge(u2, v2) && !fits() {
 				_ = wts.Set(u2, v2, prev)
 			}
 		}
-		cur := d.Underlying()
 		for _, skip := range []int{-1, m} {
 			if st := checkWeightedRepair(t, old, cur, skip, snap, wts); st.FullRefill {
 				t.Fatalf("skip=%d: delta past RepairCap %d", skip, RepairCap(n))
