@@ -183,3 +183,65 @@ func TestRepairRowsNoDelta(t *testing.T) {
 		}
 	}
 }
+
+// A warm repair scratch serves every later repair without allocating:
+// D's repair in both tiers and the weighted deletion rows run once per
+// move, so a per-call allocation would be paid hundreds of times a run.
+func TestRepairAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	n := 200
+	d := randomDigraphFor(n, 2, rng)
+	old := d.Underlying()
+	var cur Und
+	var removed, added [][2]int32
+	for len(removed) == 0 {
+		mutateOneOwner(d, rng)
+		cur = d.Underlying()
+		removed, added = DiffUnd(old, cur, -1)
+	}
+	wts := NewWeights(n, 3, 8)
+	var wr, wa []WEdge
+	for _, e := range removed {
+		wr = append(wr, WEdge{A: e[0], B: e[1], W: wts.Of(int(e[0]), int(e[1]))})
+	}
+	for _, e := range added {
+		wa = append(wa, WEdge{A: e[0], B: e[1], W: wts.Of(int(e[0]), int(e[1]))})
+	}
+	c, wc := NewCSR(cur), NewWCSRExcluding(cur, wts, -1)
+	base, wbase := NewCSR(old).DistanceRows(), wRows(NewWCSRExcluding(old, wts, -1))
+	full := wRows(wc)
+	var y int32
+	var damaged []int32
+	for v := int32(0); v < int32(n); v++ {
+		if dd := wc.DeletionDamage(full, v, nil); len(dd) > len(damaged) {
+			y, damaged = v, dd
+		}
+	}
+	dst := make([][]int32, len(damaged))
+	for i := range dst {
+		dst[i] = make([]int32, n)
+	}
+	rows := make([]int32, n*n)
+	var ds DeltaScratch
+	var fs FillScratch
+	var st RepairStats
+	for _, run := range []struct {
+		what string
+		fn   func()
+	}{
+		{"RepairRows", func() { copy(rows, base); st = c.RepairRows(rows, removed, added, &ds) }},
+		{"RepairRowsWeighted", func() { copy(rows, wbase); st = wc.RepairRowsWeighted(rows, wr, wa, &ds) }},
+		{"RowsWithout", func() { wc.RowsWithout(full, damaged, dst, y, &fs) }},
+	} {
+		run.fn() // warm the scratch
+		if a := testing.AllocsPerRun(10, run.fn); a != 0 {
+			t.Errorf("%s: %.1f allocations per warm call, want 0", run.what, a)
+		}
+		if run.what != "RowsWithout" && st.RowsRefilled == 0 {
+			t.Fatalf("%s repaired no damaged row (stats %+v): the check would be vacuous", run.what, st)
+		}
+	}
+	if len(damaged) == 0 {
+		t.Fatal("no damaged deletion rows: the RowsWithout check would be vacuous")
+	}
+}
