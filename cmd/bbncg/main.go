@@ -86,7 +86,7 @@ func main() {
 	out := flag.String("out", "", "stream sweep results into a checkpoint store at this directory")
 	resume := flag.Bool("resume", false, "continue an existing store: skip already-evaluated points")
 	shardFlag := flag.String("shard", "", "evaluate only partition i of k (\"i/k\") of every point list")
-	poolMB := flag.Int64("poolmb", 0, "dynamics distance-cache pool budget in MiB (0 = default 1024; MAX games add level sets worth ~(diam+1)/32 of it on top; see docs/RUNNER.md)")
+	poolMB := flag.Int64("poolmb", 0, "dynamics distance-cache pool budget in MiB (0 = default 1024); it bounds every byte the pool holds, MAX games' level sets included (see docs/RUNNER.md)")
 	retry := flag.Int("retry", 0, "re-attempt each transiently failing point up to N extra times")
 	maxFailures := flag.Int("max-failures", 0, "keep going while at most N points fail, quarantining them for -resume (-1 = unlimited, 0 = abort on failure)")
 	fsync := flag.Bool("fsync", false, "fsync every store append and manifest write (survives power loss, slower)")

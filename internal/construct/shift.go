@@ -2,7 +2,7 @@ package construct
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -58,7 +58,8 @@ func NewShiftGraph(t, k, maxVertices int) (*ShiftGraph, error) {
 		}
 	}
 	for v := range adj {
-		adj[v] = dedupSorted(adj[v])
+		slices.Sort(adj[v])
+		adj[v] = slices.Compact(adj[v])
 	}
 	d, err := orientWithPositiveOutdegrees(adj)
 	if err != nil {
@@ -199,20 +200,6 @@ func cycleThroughLCA(parent []int, u, w int) []int {
 		cycle = append(cycle, upW[i])
 	}
 	return cycle
-}
-
-// dedupSorted sorts and deduplicates s in place.
-func dedupSorted(s []int) []int {
-	sort.Ints(s)
-	w := 0
-	for i, v := range s {
-		if i > 0 && s[i-1] == v {
-			continue
-		}
-		s[w] = v
-		w++
-	}
-	return s[:w]
 }
 
 // Budgets returns the budget vector realized by the orientation

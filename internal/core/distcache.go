@@ -101,16 +101,6 @@ func (dv *Deviator) EnsureCache(budgetBytes int64) bool {
 	return true
 }
 
-// EnsureWeightedCache is EnsureCache for Deviators built by
-// NewWeightedDeviator; it panics when the Deviator carries no weights
-// (callers wanting the weighted cache mode must construct one).
-func (dv *Deviator) EnsureWeightedCache(budgetBytes int64) bool {
-	if dv.wts == nil {
-		panic("core: EnsureWeightedCache on an unweighted Deviator")
-	}
-	return dv.EnsureCache(budgetBytes)
-}
-
 // rebuildWoff recomputes the per-anchor row offsets w(u,v) - 1. Row u
 // gets offset 0: it is never an anchor.
 func (dv *Deviator) rebuildWoff() {

@@ -66,7 +66,7 @@ func TestWeightedEvalCachedVsDijkstra(t *testing.T) {
 					s := randStrategy(n, u, rng.Intn(3), rng)
 
 					cached := NewWeightedDeviator(g, d, u, wts)
-					if !cached.EnsureWeightedCache(DefaultCacheBudget) {
+					if !cached.EnsureCache(DefaultCacheBudget) {
 						t.Fatalf("%s/%v: weighted cache refused", name, version)
 					}
 					fallback := NewWeightedDeviator(g, d, u, wts)
@@ -113,7 +113,7 @@ func TestWeightedUnitBridge(t *testing.T) {
 	}
 }
 
-// The weighted responders on the cached tier (Δ-stepping fill, SUM
+// The weighted responders on the cached tier (Dijkstra fill, SUM
 // kernel) must return exactly what the oracle — per-candidate Dijkstra
 // on an uncached weighted Deviator — returns.
 func TestWeightedResponderKnobMatrix(t *testing.T) {
@@ -309,7 +309,7 @@ func TestWeightedCacheRefusesOverflow(t *testing.T) {
 	wts := graph.NewWeights(8, 1, 1<<29)
 	dv := NewWeightedDeviator(g, d, 1, wts)
 	defer dv.release()
-	if dv.EnsureWeightedCache(DefaultCacheBudget) {
+	if dv.EnsureCache(DefaultCacheBudget) {
 		t.Fatal("cache accepted an un-encodable weight range")
 	}
 	if c := dv.Eval([]int{0}); c <= 0 {

@@ -10,7 +10,7 @@ import (
 
 // A weighted run must match the oracle (per-candidate Dijkstra, no
 // pool) on plain and pooled responders: the weighted cache tier, the
-// Δ-stepping fill, the pool ladder and the SUM kernel select
+// Dijkstra fill, the pool ladder and the SUM kernel select
 // implementations, never trajectories.
 func TestRunWeightedKnobMatrix(t *testing.T) {
 	g := core.UniformGame(20, 2, core.SUM)

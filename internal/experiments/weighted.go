@@ -15,7 +15,7 @@ import (
 // The weighted-dyn sweep layers seeded arc weights over the robustness
 // overlay families and drives greedy best-response dynamics on the
 // weighted SUM game — the latency-weighted-overlay scenario the ROADMAP
-// calls for, running end to end on the weighted cache tier (Δ-stepping
+// calls for, running end to end on the weighted cache tier (Dijkstra
 // fill, incremental weighted repair, stamps). maxW=1 is the unit-weight
 // bridge: its rows must coincide with what the unweighted engine would
 // report, which the property suites pin at every layer below.

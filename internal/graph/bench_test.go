@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -32,6 +33,35 @@ func BenchmarkDeviationBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.DeviationBFS(base, 0, strategy, in)
+	}
+}
+
+// BenchmarkDistanceRows times one whole distance-matrix fill per
+// iteration on the GOMAXPROCS worker pool: DistanceRowsInto over the
+// unweighted CSR (the batched subset BFS) and over the weighted CSR
+// with weights in [1, 8] (one heap settle per source).
+func BenchmarkDistanceRows(b *testing.B) {
+	for _, row := range []struct {
+		n        int
+		weighted bool
+	}{{96, false}, {512, false}, {1024, false}, {128, true}, {512, true}} {
+		name := fmt.Sprintf("n=%d", row.n)
+		if row.weighted {
+			name += "/weighted"
+		}
+		b.Run(name, func(b *testing.B) {
+			a := benchGraph(row.n).Underlying()
+			fill := NewCSR(a).DistanceRowsInto
+			if row.weighted {
+				fill = NewWCSRExcluding(a, NewWeights(row.n, 1, 8), -1).DistanceRowsInto
+			}
+			dst := make([]int32, row.n*row.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fill(dst)
+			}
+		})
 	}
 }
 

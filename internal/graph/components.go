@@ -4,30 +4,7 @@ package graph
 // vector (labels are 0..count-1, assigned in order of lowest-numbered
 // member) and the number of components.
 func Components(a Und) (label []int, count int) {
-	n := len(a)
-	label = make([]int, n)
-	for i := range label {
-		label[i] = -1
-	}
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if label[s] >= 0 {
-			continue
-		}
-		label[s] = count
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range a[u] {
-				if label[v] < 0 {
-					label[v] = count
-					queue = append(queue, v)
-				}
-			}
-		}
-		count++
-	}
-	return label, count
+	return ComponentsExcluding(a, -1)
 }
 
 // IsConnected reports whether a is connected (true for n <= 1).
@@ -40,9 +17,10 @@ func IsConnected(a Und) bool {
 }
 
 // ComponentsExcluding labels the components of the graph a with vertex u
-// deleted. label[u] is -1 and count ignores u. This is the quantity needed
-// to evaluate the component term of a deviating player's cost: whatever
-// strategy S player u picks, the component count of the deviated graph is
+// deleted (u < 0 deletes nothing). label[u] is -1 and count ignores u.
+// This is the quantity needed to evaluate the component term of a
+// deviating player's cost: whatever strategy S player u picks, the
+// component count of the deviated graph is
 //
 //	count - distinct(labels of In(u) ∪ S) + 1.
 func ComponentsExcluding(a Und, u int) (label []int, count int) {

@@ -96,31 +96,32 @@ func (c *CSR) BFSRow(src int32, row []int32, queue []int32) {
 	}
 }
 
-// DistanceRowsInto fills dst (length n*n) with all-pairs distances over c:
-// dst[v*n+w] is the distance from v to w, InfDist when unreachable.
+// DistanceRowsInto fills dst (length n*n) with all-pairs distances over
+// c: dst[v*n+w] is the distance from v to w, InfDist when unreachable.
 //
-// Sources are processed in batches of 64 by a word-parallel BFS: each
-// vertex carries a bitmask of which sources in the batch have reached it,
-// so one level of 64 simultaneous BFS costs O(n + m) word operations
+// Sources are processed in runs of 64 consecutive vertices by
+// fillRowsSubset, the word-parallel BFS that also refills deletion rows:
+// each vertex carries a bitmask of which sources in the run have reached
+// it, so one level of 64 simultaneous BFS costs O(n + m) word operations
 // instead of 64 separate traversals — a ~word-width win on the
-// low-diameter graphs the game produces. Distances are recorded through
-// the symmetry D[v][w] = D[w][v] of the undirected graph: a batch writes
-// the contiguous column block [batch*64, batch*64+64) of row w, keeping
-// the writes cache-resident and the batches disjoint. Batches are
-// distributed over the AllPairs worker pool, each worker owning private
-// mask buffers.
+// low-diameter graphs the game produces. Runs are distributed over the
+// AllPairs worker pool, each worker owning private mask buffers.
 func (c *CSR) DistanceRowsInto(dst []int32) {
 	n := c.N()
-	for i := range dst {
-		dst[i] = InfDist
-	}
 	batches := (n + 63) / 64
 	parallelRange(batches, 2, func() *maskScratch { return newMaskScratch(n) }, func(ms *maskScratch, batch int) {
-		c.fillBatch(dst, batch, ms)
+		var srcs [64]int32
+		var rows [64][]int32
+		lo, hi := batch*64, min(batch*64+64, n)
+		for s := lo; s < hi; s++ {
+			srcs[s-lo] = int32(s)
+			rows[s-lo] = dst[s*n : (s+1)*n]
+		}
+		c.fillRowsSubset(srcs[:hi-lo], rows[:hi-lo], -1, ms)
 	})
 }
 
-// maskScratch is the per-worker state of the word-parallel fill: one
+// maskScratch is the per-worker state of the word-parallel BFS: one
 // 64-bit reach/frontier mask per vertex plus frontier vertex lists.
 type maskScratch struct {
 	reach []uint64 // sources that have reached v
@@ -140,75 +141,18 @@ func newMaskScratch(n int) *maskScratch {
 	}
 }
 
-// fillBatch runs the 64 simultaneous BFS of sources [batch*64, ...) and
-// writes their distance rows. (Frontier-loop triplet with fillRowsSubset
-// below and aggBatch in ecc.go; propagation fixes apply to all three.)
-func (c *CSR) fillBatch(dst []int32, batch int, ms *maskScratch) {
-	n := c.N()
-	base := batch * 64
-	width := n - base
-	if width > 64 {
-		width = 64
-	}
-	for i := range ms.reach {
-		ms.reach[i] = 0
-		ms.acc[i] = 0
-	}
-	ms.list = ms.list[:0]
-	for i := 0; i < width; i++ {
-		s := base + i
-		dst[s*n+s] = 0
-		ms.reach[s] |= 1 << i
-		ms.front[s] = ms.reach[s]
-		ms.list = append(ms.list, int32(s))
-	}
-	for d := int32(1); len(ms.list) > 0; d++ {
-		// Push every frontier mask across its vertex's edges.
-		ms.next = ms.next[:0]
-		for _, v := range ms.list {
-			m := ms.front[v]
-			for _, w := range c.Nbrs[c.Indptr[v]:c.Indptr[v+1]] {
-				if ms.acc[w] == 0 {
-					ms.next = append(ms.next, w)
-				}
-				ms.acc[w] |= m
-			}
-		}
-		// Keep only the sources seeing each vertex for the first time and
-		// record their distances.
-		ms.list = ms.list[:0]
-		for _, w := range ms.next {
-			nb := ms.acc[w] &^ ms.reach[w]
-			ms.acc[w] = 0
-			if nb == 0 {
-				continue
-			}
-			ms.reach[w] |= nb
-			ms.front[w] = nb
-			ms.list = append(ms.list, w)
-			// Symmetric write: D[src][w] lands at dst[w*n+src], so the
-			// batch's sources form one contiguous column block of row w.
-			col := dst[int(w)*n+base:]
-			for rem := nb; rem != 0; rem &= rem - 1 {
-				col[bits.TrailingZeros64(rem)] = d
-			}
-		}
-	}
-}
-
-// fillRowsSubset recomputes the rows of up to 64 arbitrary sources by
-// one word-parallel BFS pass, writing source srcs[i]'s full row into
-// dst[i] (no symmetry trick: the subset is not a contiguous column
-// block). The deletion refill (CSR.RowsWithout) uses it to refill
-// damaged rows at batch cost instead of one scalar BFS per row. A non-negative block is treated as deleted: its reach mask
-// starts full, so it is never reached, never expanded and keeps InfDist
-// in every row — BFS over c minus block, without packing a second CSR.
+// fillRowsSubset computes the rows of up to 64 arbitrary sources by one
+// word-parallel BFS pass, writing source srcs[i]'s full row into dst[i]:
+// 64 consecutive sources for a whole fill (DistanceRowsInto), the
+// damaged rows of a deletion (CSR.RowsWithout). A non-negative block is
+// treated as deleted: its reach mask starts full, so it is never
+// reached, never expanded and keeps InfDist in every row — BFS over c
+// minus block, without packing a second CSR.
 //
-// NOTE: the frontier loop is a deliberate triplet with fillBatch
-// (above) and aggBatch (ecc.go) — same reach/acc/front propagation,
-// different seeding and per-newly-reached action. The hot inner loops
-// cannot afford a per-edge closure, so a fix to the propagation must
-// be applied to all three.
+// NOTE: the frontier loop is a deliberate pair with aggBatch (ecc.go) —
+// same reach/acc/front propagation, different seeding and
+// per-newly-reached action. The hot inner loops cannot afford a
+// per-edge closure, so a fix to the propagation must be applied to both.
 func (c *CSR) fillRowsSubset(srcs []int32, dst [][]int32, block int32, ms *maskScratch) {
 	for i := range ms.reach {
 		ms.reach[i] = 0
@@ -229,6 +173,7 @@ func (c *CSR) fillRowsSubset(srcs []int32, dst [][]int32, block int32, ms *maskS
 		ms.list = append(ms.list, s)
 	}
 	for d := int32(1); len(ms.list) > 0; d++ {
+		// Push every frontier mask across its vertex's edges.
 		ms.next = ms.next[:0]
 		for _, v := range ms.list {
 			m := ms.front[v]
@@ -239,6 +184,8 @@ func (c *CSR) fillRowsSubset(srcs []int32, dst [][]int32, block int32, ms *maskS
 				ms.acc[w] |= m
 			}
 		}
+		// Keep only the sources seeing each vertex for the first time and
+		// record their distances.
 		ms.list = ms.list[:0]
 		for _, w := range ms.next {
 			nb := ms.acc[w] &^ ms.reach[w]

@@ -86,7 +86,7 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 		ex := NewWCSRExcluding(a, wts, y)
 		want = make([]int32, n*n)
 		for s := 0; s < n; s++ {
-			ex.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0)
+			ex.dijkstraRow(int32(s), want[s*n:(s+1)*n])
 		}
 		damaged = wc.DeletionDamage(full, int32(y), nil)
 		priv = dst()

@@ -26,8 +26,7 @@ func (c *CSR) AggregatesInto(ecc []int32, sum []int64, reached []int32) {
 
 // aggBatch runs the 64 simultaneous BFS of one source batch, folding
 // each newly-reached vertex into its sources' aggregates. (Frontier-loop
-// triplet with fillBatch and fillRowsSubset in csr.go; propagation fixes
-// apply to all three.)
+// pair with fillRowsSubset in csr.go; propagation fixes apply to both.)
 func (c *CSR) aggBatch(batch int, ms *maskScratch, ecc []int32, sum []int64, reached []int32) {
 	n := c.N()
 	base := batch * 64

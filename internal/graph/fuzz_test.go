@@ -8,20 +8,20 @@ import (
 // Native fuzz targets for the CSR substrate of the deviation engine:
 // construction invariants of the flat adjacency, and agreement between
 // the word-parallel batched BFS (DistanceRowsInto) and the scalar
-// per-source BFS (BFSRow), including the distance symmetry the batched
-// fill exploits when writing column blocks. CI runs each target as a
-// short -fuzztime smoke on top of the seeded corpus below.
+// per-source BFS (BFSRow). CI runs each target as a short -fuzztime
+// smoke on top of the seeded corpus below.
 
 // decodeGraph turns fuzz bytes into an undirected adjacency: byte 0
-// picks n in [1, 48], the rest are consumed pairwise as arcs u->v
-// (mod n, self-loops skipped). Going through Digraph.Underlying keeps
-// the decoded graphs inside the invariant every real caller provides
+// picks n in [1, 130], so the fills' 64-source batches reach a third,
+// partial one; the rest are consumed pairwise as arcs u->v (mod n,
+// self-loops skipped). Going through Digraph.Underlying keeps the
+// decoded graphs inside the invariant every real caller provides
 // (sorted, deduplicated neighbour lists).
 func decodeGraph(data []byte) (Und, *Digraph) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	n := int(data[0])%48 + 1
+	n := int(data[0])%130 + 1
 	d := NewDigraph(n)
 	rest := data[1:]
 	for i := 0; i+1 < len(rest); i += 2 {
@@ -35,15 +35,15 @@ func decodeGraph(data []byte) (Und, *Digraph) {
 }
 
 // fuzzSeeds are byte encodings of the shapes that historically break
-// BFS code: empty, singleton, a path, a dense blob, and a graph with
-// more than 64 vertices (two word-parallel batches).
+// BFS code: empty, singleton, a path, a dense blob, and a 130-vertex
+// path (three word-parallel batches, the last of two sources).
 func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{4, 0, 1, 1, 2, 2, 3})
 	f.Add([]byte{7, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 2, 3, 4, 5, 6})
-	big := []byte{47}
-	for i := byte(0); i < 46; i++ {
+	big := []byte{129}
+	for i := byte(0); i < 129; i++ {
 		big = append(big, i, i+1)
 	}
 	f.Add(big)

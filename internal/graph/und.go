@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Und is an undirected adjacency-list view. It is the structure on which
 // all game distances are computed: Und[u] lists the distinct neighbours of
@@ -20,7 +23,8 @@ func (g *Digraph) Underlying() Und {
 		}
 	}
 	for u := range adj {
-		adj[u] = dedupSorted(adj[u])
+		slices.Sort(adj[u])
+		adj[u] = slices.Compact(adj[u])
 	}
 	return adj
 }
@@ -98,21 +102,8 @@ func (g *Digraph) UnderlyingWithout(u int) Und {
 		}
 	}
 	for w := range adj {
-		adj[w] = dedupSorted(adj[w])
+		slices.Sort(adj[w])
+		adj[w] = slices.Compact(adj[w])
 	}
 	return adj
-}
-
-// dedupSorted sorts s and removes duplicates in place.
-func dedupSorted(s []int) []int {
-	sort.Ints(s)
-	w := 0
-	for i, v := range s {
-		if i > 0 && s[i-1] == v {
-			continue
-		}
-		s[w] = v
-		w++
-	}
-	return s[:w]
 }

@@ -1,7 +1,7 @@
 package graph
 
-// Incremental repair of weighted distance matrices — the Δ-stepping
-// cache tier's analogue of delta.go, with the same row-by-row plan:
+// Incremental repair of weighted distance matrices — the weighted cache
+// tier's analogue of delta.go, with the same row-by-row plan:
 //
 //   - A removed (or weight-increased) edge {a,b,w} lies on a shortest
 //     path of row s only when one endpoint is the other's tight parent:
@@ -22,12 +22,15 @@ package graph
 // Ramalingam–Reps step over tight arcs instead of levels. Weighted
 // distances exceed n, so it orders its queues on the binary heap
 // rather than delta.go's n+1-bucket queue. The same kernel with a
-// blocked vertex repairs the rows of a vertex deletion (deletion.go).
+// blocked vertex repairs the rows of a vertex deletion (deletion.go),
+// and its last phase, settle, is the one Dijkstra loop of the tier:
+// the whole fill (WCSR.DistanceRowsInto) runs it from each source.
 //
 // The threshold mirrors delta.go: classification is abandoned past
 // RepairCap delta edges, and the call reports FullRefill with the rows
 // untouched for the caller to rebuild whole. The fuzz and property
-// suites pin the repaired rows against a scalar Dijkstra, bit for bit.
+// suites pin the repaired rows against a test-only array-scan
+// Dijkstra, bit for bit.
 
 // RepairRowsWeighted updates rows (the flat n×n weighted distance
 // matrix of the graph *before* the delta) to the distances over c (the
@@ -193,6 +196,19 @@ func (c *WCSR) repairRowWeighted(row []int32, seeds []int32, added []WEdge, bloc
 		}
 	}
 	// Phase 3.
+	rs.heap = c.settle(row, h, block)
+	return changed
+}
+
+// settle is Dijkstra's loop over row: h holds the packed dist<<32|vertex
+// entries of the tentative distances already written into row, and
+// settle pops them in increasing distance, relaxing every arc except
+// into a non-negative block, until the row is exact. Stale entries are
+// skipped by the lazy check against the row. It serves every weighted
+// row: the whole fill (one source queued at 0), phase 3 of the in-place
+// repair and, through it, the rows of a vertex deletion. It returns the
+// emptied heap for reuse.
+func (c *WCSR) settle(row []int32, h []int64, block int32) []int64 {
 	for len(h) > 0 {
 		var e int64
 		e, h = heapPop(h)
@@ -209,6 +225,5 @@ func (c *WCSR) repairRowWeighted(row []int32, seeds []int32, added []WEdge, bloc
 			}
 		}
 	}
-	rs.heap = h
-	return changed
+	return h
 }

@@ -8,12 +8,11 @@ import (
 
 // Weighted distance kernel. The deviation engine's cache rows generalise
 // from BFS levels to weighted shortest-path distances: arcs carry
-// positive int32 weights and rows are filled by a parallel Δ-stepping
-// SSSP (one bucketed scan per source over the shared worker pool, the
-// SPAA'21 stepping-algorithms idiom) instead of the word-parallel BFS.
-// Weighted shortest-path distances are unique values, so the fill is
-// bit-identical to a scalar binary-heap Dijkstra — the reference the
-// tests check it against.
+// positive int32 weights and whole rows are filled by Dijkstra, one
+// source per task on the shared worker pool, through the same settle
+// loop (wdelta.go) that repairs weighted rows in place. Weighted
+// shortest-path distances are unique values, so every row is
+// bit-identical to the tests' scalar array-scan Dijkstra reference.
 //
 // Offsets at merge time. The engine consumes rows through min-merge
 // kernels computing "distance via anchor v = 1 + row_v[w]". Weighted
@@ -254,82 +253,20 @@ func NewWCSRExcluding(a Und, wts *Weights, u int) *WCSR {
 	return &WCSR{Indptr: indptr, Nbrs: nbrs, W: ws, MaxW: wts.MaxW()}
 }
 
-// wScratch is the per-worker state of the whole weighted fill: the
-// Δ-stepping bucket ring, reused across sources (the SNIPPETS
-// bucket/workspace-reuse idiom — per-source allocation would dominate
-// the scan on settled low-diameter graphs).
-type wScratch struct {
-	buckets [][]int32 // ring, indexed by (trueDist/delta) mod len
-}
-
-// steppingDelta returns the Δ of the bucket structure: maxW/4 (floored
-// at 1), trading bucket count against intra-bucket re-relaxation. With
-// weights in [1, maxW] a bucket scan settles after at most Δ passes
-// over its light edges, and relaxations from bucket i land in buckets
-// [i, i + maxW/Δ + 1], so a ring of maxW/Δ + 2 buckets suffices.
-func steppingDelta(maxW int32) int32 {
-	d := maxW / 4
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-func newWScratch(maxW int32) *wScratch {
-	nb := int(maxW/steppingDelta(maxW)) + 2
-	return &wScratch{buckets: make([][]int32, nb)}
-}
-
 // DistanceRowsInto fills dst (length n*n) with weighted distances over
 // c: dst[v*n+w] = wdist(v, w), InfDist when unreachable. Sources run in
-// parallel over the worker pool, one Δ-stepping scan each.
+// parallel over the worker pool, each seeded alone in an all-InfDist
+// row and settled by the heap loop of the in-place repair.
 func (c *WCSR) DistanceRowsInto(dst []int32) {
 	n := c.N()
-	parallelRange(n, 64, func() *wScratch { return newWScratch(c.MaxW) }, func(ws *wScratch, src int) {
-		c.steppingRow(int32(src), dst[src*n:(src+1)*n], ws)
-	})
-}
-
-// steppingRow is one Δ-stepping SSSP, the whole-row fill of
-// DistanceRowsInto: tentative distances live in the row, vertices are
-// queued in the bucket of their distance divided by Δ, and each bucket
-// is scanned to a fixed point (light edges requeue into the bucket being
-// scanned, which the in-loop reload picks up) before the ring advances.
-// Stale queue entries are skipped by the lazy validity check against
-// the row.
-func (c *WCSR) steppingRow(src int32, row []int32, ws *wScratch) {
-	for i := range row {
-		row[i] = InfDist
-	}
-	row[src] = 0
-	delta := steppingDelta(c.MaxW)
-	nb := len(ws.buckets)
-	ws.buckets[0] = append(ws.buckets[0][:0], src)
-	maxIdx := 0
-	for cur := 0; cur <= maxIdx; cur++ {
-		b := ws.buckets[cur%nb]
-		for i := 0; i < len(b); i++ {
-			v := b[i]
-			dv := row[v]
-			if int(dv)/int(delta) != cur {
-				continue // superseded by a smaller tentative distance
-			}
-			for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
-				w := c.Nbrs[k]
-				nd := dv + c.W[k]
-				if nd < row[w] {
-					row[w] = nd
-					idx := int(nd) / int(delta)
-					ws.buckets[idx%nb] = append(ws.buckets[idx%nb], w)
-					if idx > maxIdx {
-						maxIdx = idx
-					}
-				}
-			}
-			b = ws.buckets[cur%nb] // light-edge pushes land here; reload
+	parallelRange(n, 64, func() *[]int64 { return new([]int64) }, func(h *[]int64, src int) {
+		row := dst[src*n : (src+1)*n]
+		for i := range row {
+			row[i] = InfDist
 		}
-		ws.buckets[cur%nb] = b[:0]
-	}
+		row[src] = 0
+		*h = c.settle(row, append((*h)[:0], int64(src)), -1)
+	})
 }
 
 // heapPush inserts e into the binary min-heap h and returns the heap.

@@ -13,29 +13,31 @@ func wRows(c *WCSR) []int32 {
 	return rows
 }
 
-// dijkstraRow is the weighted reference SSSP the Δ-stepping fill and
-// the weighted repair are checked against: a scalar binary heap of
-// packed dist<<32|vertex entries with lazy deletion.
-func (c *WCSR) dijkstraRow(src int32, row []int32, o int32) {
+// dijkstraRow is the weighted reference SSSP the fill, the in-place
+// repair and the deletion rows are checked against: the O(n²)
+// array-scan Dijkstra, which settles the closest unsettled vertex by a
+// linear scan and shares no code (no heap, no settle loop) with the
+// kernels it checks.
+func (c *WCSR) dijkstraRow(src int32, row []int32) {
+	done := make([]bool, len(row))
 	for i := range row {
 		row[i] = InfDist
 	}
-	row[src] = o
-	h := heapPush(nil, int64(o)<<32|int64(src))
-	for len(h) > 0 {
-		var e int64
-		e, h = heapPop(h)
-		d := int32(e >> 32)
-		v := int32(e & 0xffffffff)
-		if row[v] != d {
-			continue // stale entry
+	row[src] = 0
+	for {
+		v := -1
+		for w, dw := range row {
+			if !done[w] && dw < InfDist && (v < 0 || dw < row[v]) {
+				v = w
+			}
 		}
+		if v < 0 {
+			return
+		}
+		done[v] = true
 		for k := c.Indptr[v]; k < c.Indptr[v+1]; k++ {
-			w := c.Nbrs[k]
-			nd := d + c.W[k]
-			if nd < row[w] {
-				row[w] = nd
-				h = heapPush(h, int64(nd)<<32|int64(w))
+			if w := c.Nbrs[k]; row[v]+c.W[k] < row[w] {
+				row[w] = row[v] + c.W[k]
 			}
 		}
 	}
@@ -141,8 +143,8 @@ func TestWeightsChangesSince(t *testing.T) {
 	}
 }
 
-// The Δ-stepping fill, the scalar Dijkstra reference, and (at unit
-// weights) the unweighted BFS must agree cell for cell, with and
+// The whole weighted fill, the array-scan Dijkstra reference, and (at
+// unit weights) the unweighted BFS must agree cell for cell, with and
 // without an excluded vertex and across weight ranges.
 func TestSteppingMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -157,11 +159,11 @@ func TestSteppingMatchesDijkstra(t *testing.T) {
 		got := wRows(c)
 		want := make([]int32, n*n)
 		for s := 0; s < n; s++ {
-			c.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0)
+			c.dijkstraRow(int32(s), want[s*n:(s+1)*n])
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d maxW=%d u=%d cell (%d,%d): stepping %d, dijkstra %d",
+				t.Fatalf("n=%d maxW=%d u=%d cell (%d,%d): fill %d, dijkstra %d",
 					n, maxW, u, i/n, i%n, got[i], want[i])
 			}
 		}
@@ -299,7 +301,7 @@ func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32
 	}
 	want := make([]int32, n*n)
 	for s := 0; s < n; s++ {
-		newCSR.dijkstraRow(int32(s), want[s*n:(s+1)*n], 0)
+		newCSR.dijkstraRow(int32(s), want[s*n:(s+1)*n])
 	}
 	for i := range want {
 		if rows[i] != want[i] {

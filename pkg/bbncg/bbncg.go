@@ -163,7 +163,7 @@ type Weights = graph.Weights
 func NewWeights(n int, seed int64, max int32) *Weights { return graph.NewWeights(n, seed, max) }
 
 // NewWeightedCachePool is NewCachePool over the arc-weighted game: the
-// pool holds weighted distance rows (Δ-stepping fill, incremental
+// pool holds weighted distance rows (Dijkstra fill, incremental
 // weighted repair) and tracks wts's generation as a second staleness
 // stream — weight-only mutations need no Invalidate call.
 func NewWeightedCachePool(g *Game, budgetBytes int64, wts *Weights) *CachePool {
