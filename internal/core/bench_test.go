@@ -147,6 +147,22 @@ func BenchmarkGreedyBestResponse(b *testing.B) {
 	}
 }
 
+// BenchmarkWeightedGreedyResponder times the unpooled weighted greedy
+// response (maxW 8, budget 2): a whole weighted fill of G−u, then the
+// scan. Players a pool does not hold and every equilibrium check run
+// on this path, one fill per call.
+func BenchmarkWeightedGreedyResponder(b *testing.B) {
+	for _, n := range []int{128, 512} {
+		g, d := benchInstance(n, 2)
+		respond := WeightedGreedyResponder(graph.NewWeights(n, 1, 8))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				respond(g, d, i%n)
+			}
+		})
+	}
+}
+
 func BenchmarkBestSwap(b *testing.B) {
 	g, d := benchInstance(128, 3)
 	b.ResetTimer()

@@ -17,7 +17,8 @@ func IsConnected(a Und) bool {
 }
 
 // ComponentsExcluding labels the components of the graph a with vertex u
-// deleted (u < 0 deletes nothing). label[u] is -1 and count ignores u.
+// deleted (u < 0 deletes nothing). For u ≥ 0, label[u] is -1 and count
+// ignores u.
 // This is the quantity needed to evaluate the component term of a
 // deviating player's cost: whatever strategy S player u picks, the
 // component count of the deviated graph is

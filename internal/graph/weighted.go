@@ -206,13 +206,11 @@ type WEdge struct {
 
 // WCSR is an immutable weighted compressed-sparse-row adjacency: arc k
 // of vertex v targets Nbrs[k] with weight W[k], for k in
-// [Indptr[v], Indptr[v+1]). MaxW caps every arc weight. Safe for any
-// number of concurrent readers.
+// [Indptr[v], Indptr[v+1]). Safe for any number of concurrent readers.
 type WCSR struct {
 	Indptr []int32
 	Nbrs   []int32
 	W      []int32
-	MaxW   int32
 }
 
 // N returns the number of vertices.
@@ -250,7 +248,7 @@ func NewWCSRExcluding(a Und, wts *Weights, u int) *WCSR {
 			}
 		}
 	}
-	return &WCSR{Indptr: indptr, Nbrs: nbrs, W: ws, MaxW: wts.MaxW()}
+	return &WCSR{Indptr: indptr, Nbrs: nbrs, W: ws}
 }
 
 // DistanceRowsInto fills dst (length n*n) with weighted distances over
@@ -322,5 +320,4 @@ func (c *WCSR) ResetUnderlying(d *Digraph, wts *Weights) {
 			c.W[k] = wts.Of(v, int(c.Nbrs[k]))
 		}
 	}
-	c.MaxW = wts.MaxW()
 }

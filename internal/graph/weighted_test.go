@@ -264,7 +264,7 @@ func weightedDelta(old, cur Und, skip int, snap map[[2]int32]int32, wts *Weights
 func checkWeightedRepair(t *testing.T, old, cur Und, skip int, snap map[[2]int32]int32, wts *Weights) RepairStats {
 	t.Helper()
 	n := len(old)
-	oldCSR := &WCSR{MaxW: wts.MaxW()}
+	oldCSR := &WCSR{}
 	// Build the old WCSR against the snapshot weights by hand.
 	{
 		indptr := make([]int32, n+1)
