@@ -22,11 +22,12 @@ import (
 // (graph.DeletionDamage). So the pool keeps one exact matrix D = dist_G
 // of the whole graph, stored raw in the weighted tier too, over the
 // full-graph CSR (WCSR) it packs, and each entry keeps only the rows of
-// dist_{G-u} that u's deletion damages, rebuilt over the pool's CSR
-// with u blocked (graph.RowsWithout). Every other row an entry reads is
-// D's; column u of a shared row is dist_G(v,u), not InfDist, and the
-// entry masks it with inMin[u] = -1 (distcache.go). Memory is O(n²) for
-// D plus the damaged rows, instead of O(n³).
+// dist_{G-u} that u's deletion damages, each a copy of D's row repaired
+// in place over the pool's CSR with u blocked (graph.RowsWithout).
+// Every other row an entry reads is D's; column u of a shared row is
+// dist_G(v,u), not InfDist, and the entry masks it with inMin[u] = -1
+// (distcache.go). Memory is O(n²) for D plus the damaged rows, instead
+// of O(n³).
 //
 // The acquisition ladder, cheapest proof first:
 //
@@ -48,8 +49,8 @@ import (
 //   - Damage test: an entry behind D's version re-runs the lost-parent
 //     test over D's rows; in(u) and the component labels of G-u (one
 //     BFS over the CSR with u blocked) are refreshed with it.
-//   - Private refill: the damaged rows are rebuilt with u blocked, by
-//     the batched BFS, or weighted, from D's rows repaired in place.
+//   - Private refill: each damaged row is a copy of D's row repaired in
+//     place with u blocked, in both tiers.
 //
 // Every rung is exact: an entry's rows equal a whole fill of G-u outside
 // column u, bit for bit, so pooled responders return what the uncached
@@ -181,11 +182,11 @@ type shared struct {
 	wgen int64
 
 	// Sync scratch, sized once so a sync never grows what the pool
-	// holds: repair and refill buffers, the damaged rows and the
-	// destinations of their refills, per-vertex marks and private
-	// indices, and the component BFS queue.
+	// holds: the row-repair buffers (D's repairs and the private rows
+	// share them), the damaged rows and the destinations of their
+	// refills, per-vertex marks and private indices, and the component
+	// BFS queue.
 	ds      graph.DeltaScratch
-	fs      graph.FillScratch
 	damaged []int32
 	dst     [][]int32
 	mark    []bool
@@ -592,14 +593,14 @@ func (p *CachePool) newEntry(d *graph.Digraph, u int) *poolEntry {
 }
 
 // fillPrivate refills rows srcs of dist_{G-u} into dst, one n-entry
-// row per source.
+// row per source, each repaired from D's row with u blocked.
 func (p *CachePool) fillPrivate(u int, srcs []int32, dst [][]int32) {
 	sh := p.sh
 	sh.dst = dst
 	if p.wts != nil {
-		sh.wcsr.RowsWithout(sh.dist, srcs, dst, int32(u), &sh.fs)
+		sh.wcsr.RowsWithout(sh.dist, srcs, dst, int32(u), &sh.ds)
 	} else {
-		sh.csr.RowsWithout(srcs, dst, int32(u), &sh.fs)
+		sh.csr.RowsWithout(sh.dist, srcs, dst, int32(u), &sh.ds)
 	}
 	clear(dst) // drop the views: the rows may be released before the next fill
 	p.ctr.rowsRefilled.Add(int64(len(srcs)))

@@ -299,7 +299,7 @@ func recount(p *CachePool) int64 {
 	if p.sh != nil {
 		sh := *p.sh
 		b += 24 * int64(cap(sh.dst))
-		sh.of, sh.ds, sh.fs, sh.dst = nil, graph.DeltaScratch{}, graph.FillScratch{}, nil
+		sh.of, sh.ds, sh.dst = nil, graph.DeltaScratch{}, nil
 		b += retained(reflect.ValueOf(sh))
 	}
 	for _, e := range p.entries {

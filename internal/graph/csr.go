@@ -99,25 +99,18 @@ func (c *CSR) BFSRow(src int32, row []int32, queue []int32) {
 // DistanceRowsInto fills dst (length n*n) with all-pairs distances over
 // c: dst[v*n+w] is the distance from v to w, InfDist when unreachable.
 //
-// Sources are processed in runs of 64 consecutive vertices by
-// fillRowsSubset, the word-parallel BFS that also refills deletion rows:
-// each vertex carries a bitmask of which sources in the run have reached
-// it, so one level of 64 simultaneous BFS costs O(n + m) word operations
-// instead of 64 separate traversals — a ~word-width win on the
-// low-diameter graphs the game produces. Runs are distributed over the
-// AllPairs worker pool, each worker owning private mask buffers.
+// Sources are processed in batches of 64 consecutive vertices by
+// fillRowsSubset, the word-parallel BFS: each vertex carries a bitmask
+// of which sources in the batch have reached it, so one level of 64
+// simultaneous BFS costs O(n + m) word operations instead of 64 separate
+// traversals — a ~word-width win on the low-diameter graphs the game
+// produces. Batches are distributed over the AllPairs worker pool, each
+// worker owning private mask buffers.
 func (c *CSR) DistanceRowsInto(dst []int32) {
 	n := c.N()
 	batches := (n + 63) / 64
 	parallelRange(batches, 2, func() *maskScratch { return newMaskScratch(n) }, func(ms *maskScratch, batch int) {
-		var srcs [64]int32
-		var rows [64][]int32
-		lo, hi := batch*64, min(batch*64+64, n)
-		for s := lo; s < hi; s++ {
-			srcs[s-lo] = int32(s)
-			rows[s-lo] = dst[s*n : (s+1)*n]
-		}
-		c.fillRowsSubset(srcs[:hi-lo], rows[:hi-lo], -1, ms)
+		c.fillRowsSubset(batch, dst, ms)
 	})
 }
 
@@ -141,36 +134,33 @@ func newMaskScratch(n int) *maskScratch {
 	}
 }
 
-// fillRowsSubset computes the rows of up to 64 arbitrary sources by one
-// word-parallel BFS pass, writing source srcs[i]'s full row into dst[i]:
-// 64 consecutive sources for a whole fill (DistanceRowsInto), the
-// damaged rows of a deletion (CSR.RowsWithout). A non-negative block is
-// treated as deleted: its reach mask starts full, so it is never
-// reached, never expanded and keeps InfDist in every row — BFS over c
-// minus block, without packing a second CSR.
+// fillRowsSubset fills the rows of dst (the flat n×n distance matrix
+// over c) whose sources are batch's 64 consecutive vertices (fewer in
+// the last batch) by one word-parallel BFS pass, for whole fills only.
 //
 // NOTE: the frontier loop is a deliberate pair with aggBatch (ecc.go) —
-// same reach/acc/front propagation, different seeding and
+// same seeding and reach/acc/front propagation, different
 // per-newly-reached action. The hot inner loops cannot afford a
 // per-edge closure, so a fix to the propagation must be applied to both.
-func (c *CSR) fillRowsSubset(srcs []int32, dst [][]int32, block int32, ms *maskScratch) {
+func (c *CSR) fillRowsSubset(batch int, dst []int32, ms *maskScratch) {
+	n := c.N()
+	base := batch * 64
+	width := min(n-base, 64)
+	rows := dst[base*n : (base+width)*n]
+	for i := range rows {
+		rows[i] = InfDist
+	}
 	for i := range ms.reach {
 		ms.reach[i] = 0
 		ms.acc[i] = 0
 	}
-	if block >= 0 {
-		ms.reach[block] = ^uint64(0)
-	}
 	ms.list = ms.list[:0]
-	for i, s := range srcs {
-		row := dst[i]
-		for w := range row {
-			row[w] = InfDist
-		}
-		row[s] = 0
+	for i := 0; i < width; i++ {
+		s := base + i
+		rows[i*n+s] = 0
 		ms.reach[s] |= 1 << i
 		ms.front[s] = ms.reach[s]
-		ms.list = append(ms.list, s)
+		ms.list = append(ms.list, int32(s))
 	}
 	for d := int32(1); len(ms.list) > 0; d++ {
 		// Push every frontier mask across its vertex's edges.
@@ -197,7 +187,7 @@ func (c *CSR) fillRowsSubset(srcs []int32, dst [][]int32, block int32, ms *maskS
 			ms.front[w] = nb
 			ms.list = append(ms.list, w)
 			for rem := nb; rem != 0; rem &= rem - 1 {
-				dst[bits.TrailingZeros64(rem)][w] = d
+				rows[bits.TrailingZeros64(rem)*n+int(w)] = d
 			}
 		}
 	}

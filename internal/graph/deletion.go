@@ -9,26 +9,16 @@ package graph
 // and only column y changes (to InfDist); if some child has none, its
 // own distance grows. DeletionDamage runs that lost-parent test (the
 // one RepairRows runs per removed edge, for every edge of y at once)
-// over D's rows, and RowsWithout rebuilds the damaged rows over G with
-// y blocked, so no second CSR of G−y is ever packed. This is decremental
-// SSSP under one vertex deletion, repaired from nearby exact state.
+// over D's rows, and RowsWithout repairs a copy of each damaged row in
+// place over G with y blocked, so no second CSR of G−y is ever packed.
+// This is decremental SSSP under one vertex deletion, repaired from
+// nearby exact state.
 //
-// The unweighted RowsWithout refills the damaged rows by the
-// word-parallel subset BFS, 64 per pass. The weighted tier follows the
-// same plan on raw weighted rows — a child v of y is tight (row[v] ==
-// row[y] + w(y,v)) and needs another tight arc into it — but repairs
-// each damaged row in place from D's row (repairRowWeighted with y
-// blocked). Repairing unweighted rows in place too measured slower on
-// serve, whose converged n=96 sessions have hubs: a deletion there
-// changes 34 of the 96 entries of a damaged row on average, and the
-// 64-wide batch fill is cheaper.
-
-// FillScratch holds the reusable buffers of RowsWithout. Not safe for
-// concurrent use; the zero value is ready.
-type FillScratch struct {
-	ms *maskScratch
-	rs rowScratch
-}
+// Both tiers run the same plan: the copy of D's row is seeded with y's
+// children (row[v] == row[y] + 1, or row[y] + w(y,v) on raw weighted
+// rows) and handed to the tier's in-place repair kernel with y blocked
+// (repairRow, repairRowWeighted), which touches only the vertices whose
+// distance grows and the neighbours that decide it.
 
 // DeletionDamage appends to dst, in increasing order, every source
 // s != y whose row of rows (the flat n×n distance matrix over c) the
@@ -72,15 +62,26 @@ func (c *CSR) orphansY(row []int32, y int32) bool {
 }
 
 // RowsWithout fills dst[i] (length n) with the distances from srcs[i]
-// over c minus vertex block (block < 0 deletes nothing): 64 sources per
-// word-parallel BFS pass. No source may equal block.
-func (c *CSR) RowsWithout(srcs []int32, dst [][]int32, block int32, fs *FillScratch) {
-	if fs.ms == nil || len(fs.ms.reach) != c.N() {
-		fs.ms = newMaskScratch(c.N())
-	}
-	for lo := 0; lo < len(srcs); lo += 64 {
-		hi := min(lo+64, len(srcs))
-		c.fillRowsSubset(srcs[lo:hi], dst[lo:hi], block, fs.ms)
+// over c minus vertex block, repairing in place a copy of row srcs[i]
+// of rows, the flat n×n distance matrix over c. block must be a vertex
+// of c, and no source may equal it.
+func (c *CSR) RowsWithout(rows, srcs []int32, dst [][]int32, block int32, ds *DeltaScratch) {
+	n := c.N()
+	rs := &ds.rs
+	rs.fit(n)
+	for i, s := range srcs {
+		row := dst[i]
+		copy(row, rows[int(s)*n:(int(s)+1)*n])
+		seeds := rs.seeds[:0]
+		if rb := row[block]; rb < InfDist {
+			for _, v := range c.Nbrs[c.Indptr[block]:c.Indptr[block+1]] {
+				if row[v] == rb+1 {
+					seeds = append(seeds, v)
+				}
+			}
+		}
+		rs.seeds = seeds
+		c.repairRow(row, seeds, nil, block, rs)
 	}
 }
 
@@ -132,13 +133,11 @@ func (c *WCSR) orphansY(row []int32, y int32) bool {
 	return false
 }
 
-// RowsWithout fills dst[i] with the raw weighted distances from srcs[i]
-// over c minus vertex block, repairing a copy of row srcs[i] of rows —
-// the exact weighted distance matrix over c — in place. block must be a
-// vertex of c, and no source may equal it.
-func (c *WCSR) RowsWithout(rows, srcs []int32, dst [][]int32, block int32, fs *FillScratch) {
+// RowsWithout is CSR.RowsWithout over raw weighted rows: dst[i] gets
+// the raw weighted distances from srcs[i] over c minus vertex block.
+func (c *WCSR) RowsWithout(rows, srcs []int32, dst [][]int32, block int32, ds *DeltaScratch) {
 	n := c.N()
-	rs := &fs.rs
+	rs := &ds.rs
 	rs.fit(n)
 	for i, s := range srcs {
 		row := dst[i]

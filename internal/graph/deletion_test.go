@@ -45,11 +45,12 @@ func TestResetUnderlyingMatchesNewCSR(t *testing.T) {
 // checkDeletion deletes y from d's whole-graph distance matrix the way
 // the cache pool does — DeletionDamage over the full matrix, RowsWithout
 // for the damaged rows, the full matrix's rows for the rest — and
-// requires every row s != y to equal a fresh fill of G−y outside column
-// y, and ComponentsWithout to match ComponentsExcluding, in the
-// unweighted tier and (wts != nil) the weighted one against the
-// Dijkstra reference. It also requires the damaged set to be exact: a
-// flagged row differs from the full matrix outside column y.
+// requires every row s != y to equal a per-source reference over G−y
+// outside column y, and ComponentsWithout to match ComponentsExcluding:
+// the scalar BFSRow in the unweighted tier, the array-scan Dijkstra in
+// the weighted one (wts != nil); neither shares code with the repair
+// kernels or the batched fill. It also requires the damaged set to be
+// exact: a flagged row differs from the full matrix outside column y.
 func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 	t.Helper()
 	n := d.N()
@@ -66,7 +67,7 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 		}
 		return rows
 	}
-	var fs FillScratch
+	var ds DeltaScratch
 	var priv [][]int32
 	label := make([]int, n)
 	var comps int
@@ -74,10 +75,15 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 		var c CSR
 		c.ResetUnderlying(d)
 		full = c.DistanceRows()
-		want = NewCSRExcluding(a, y).DistanceRows()
+		ex := NewCSRExcluding(a, y)
+		want = make([]int32, n*n)
+		queue := make([]int32, 0, n)
+		for s := 0; s < n; s++ {
+			ex.BFSRow(int32(s), want[s*n:(s+1)*n], queue)
+		}
 		damaged = c.DeletionDamage(full, int32(y), nil)
 		priv = dst()
-		c.RowsWithout(damaged, priv, int32(y), &fs)
+		c.RowsWithout(full, damaged, priv, int32(y), &ds)
 		comps, _ = c.ComponentsWithout(y, label, nil)
 	} else {
 		var wc WCSR
@@ -90,7 +96,7 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 		}
 		damaged = wc.DeletionDamage(full, int32(y), nil)
 		priv = dst()
-		wc.RowsWithout(full, damaged, priv, int32(y), &fs)
+		wc.RowsWithout(full, damaged, priv, int32(y), &ds)
 		comps, _ = wc.ComponentsWithout(y, label, nil)
 	}
 	k := 0
@@ -113,7 +119,7 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 				continue
 			}
 			if row[w] != want[s*n+w] {
-				t.Fatalf("n=%d y=%d weighted=%v cell (%d,%d): got %d, fresh fill %d (flagged %v)",
+				t.Fatalf("n=%d y=%d weighted=%v cell (%d,%d): got %d, reference %d (flagged %v)",
 					n, y, wts != nil, s, w, row[w], want[s*n+w], flagged)
 			}
 			differs = differs || full[s*n+w] != want[s*n+w]
@@ -133,9 +139,10 @@ func checkDeletion(t *testing.T, d *Digraph, wts *Weights, y int) {
 	}
 }
 
-// Deletion rows must equal a fresh fill of G−y on random graphs —
-// sparse ones whose G−y is disconnected, braces, vertices reachable
-// through in-arcs only, and a path cut in the middle — in both tiers.
+// Deletion rows must equal a per-source reference over G−y on random
+// graphs — sparse ones whose G−y is disconnected, braces, vertices
+// reachable through in-arcs only, and a path cut in the middle — in
+// both tiers.
 func TestDeletionRowsMatchFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 150; trial++ {
@@ -163,9 +170,9 @@ func TestDeletionRowsMatchFill(t *testing.T) {
 
 // FuzzDeletionRows runs checkDeletion over fuzzed graphs and deleted
 // vertices (byte 1 picks y and the weights), in both tiers: RowsWithout
-// fed the whole graph's rows must match a fill of G−y (unweighted) or
-// the Dijkstra reference (weighted), with column y at InfDist and the
-// damage set exact.
+// fed the whole graph's rows must match a scalar BFS (unweighted) or
+// Dijkstra (weighted) over G−y, with column y at InfDist and the damage
+// set exact.
 func FuzzDeletionRows(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

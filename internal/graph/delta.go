@@ -100,9 +100,10 @@ func (rs *rowScratch) clearMarks() {
 	rs.touched = rs.touched[:0]
 }
 
-// DeltaScratch holds the reusable buffers of RepairRows and
-// RepairRowsWeighted. Not safe for concurrent use; the zero value is
-// ready.
+// DeltaScratch holds the reusable buffers of RepairRows,
+// RepairRowsWeighted and both tiers' RowsWithout, which leaves the last
+// repair's Changed list intact. Not safe for concurrent use; the zero
+// value is ready.
 type DeltaScratch struct {
 	rs      rowScratch
 	changed []int32
@@ -165,7 +166,7 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 		}
 		rs.seeds = seeds
 		if damaged {
-			c.repairRow(row, seeds, added, rs)
+			c.repairRow(row, seeds, added, -1, rs)
 			ds.changed = append(ds.changed, int32(s))
 			st.RowsRefilled++
 			continue
@@ -176,7 +177,7 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 				da, db = db, da
 			}
 			if da < InfDist && db-da >= 2 {
-				if c.repairRow(row, nil, added, rs) {
+				if c.repairRow(row, nil, added, -1, rs) {
 					ds.changed = append(ds.changed, int32(s))
 					st.RowsPatched++
 				}
@@ -192,7 +193,10 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 // the graph before a change, to the distances over c after it — the
 // Ramalingam–Reps step. seeds are the children of the removed edges
 // (the vertices that lost a parent one level up) and added the inserted
-// edges. Three phases:
+// edges. A non-negative block is deleted with all its edges: it must be
+// in no added edge, it is never a parent, never relaxed, and it ends at
+// InfDist — a row of c minus block, from that row of c and block's
+// children as seeds. Three phases:
 //
 //  1. The affected set: a seed, or a child of an affected vertex, is
 //     affected when no unaffected neighbour over c sits one old level
@@ -209,13 +213,18 @@ func (c *CSR) RepairRows(rows []int32, removed, added [][2]int32, ds *DeltaScrat
 //
 // Every value is the length of a path over c throughout, and a shortest
 // path's last edge is relaxed by phase 3 or was accounted for by phase
-// 2, so the result is exact. It reports whether any cell was written.
-func (c *CSR) repairRow(row []int32, seeds []int32, added [][2]int32, rs *rowScratch) bool {
+// 2, so the result is exact. It reports whether any cell other than
+// block's was written.
+func (c *CSR) repairRow(row []int32, seeds []int32, added [][2]int32, block int32, rs *rowScratch) bool {
 	b := rs.buckets
 	lo, hi := int32(len(b)), int32(-1)
 	push := func(v, d int32) {
 		b[d] = append(b[d], v)
 		lo, hi = min(lo, d), max(hi, d)
+	}
+	if block >= 0 {
+		rs.mark[block] = markAffected
+		rs.touched = append(rs.touched, block)
 	}
 	for _, v := range seeds {
 		if rs.mark[v] == 0 {
@@ -265,6 +274,9 @@ func (c *CSR) repairRow(row []int32, seeds []int32, added [][2]int32, rs *rowScr
 	}
 	rs.aff = aff
 	rs.clearMarks()
+	if block >= 0 {
+		row[block] = InfDist
+	}
 	changed := len(aff) > 0
 	for _, e := range added {
 		a, w := e[0], e[1]
@@ -287,7 +299,7 @@ func (c *CSR) repairRow(row []int32, seeds []int32, added [][2]int32, rs *rowScr
 				continue // superseded by a smaller tentative distance
 			}
 			for _, w := range c.Nbrs[c.Indptr[v]:c.Indptr[v+1]] {
-				if d+1 < row[w] {
+				if d+1 < row[w] && w != block {
 					row[w] = d + 1
 					push(w, d+1)
 				}

@@ -185,8 +185,8 @@ func TestRepairRowsNoDelta(t *testing.T) {
 }
 
 // A warm repair scratch serves every later repair without allocating:
-// D's repair in both tiers and the weighted deletion rows run once per
-// move, so a per-call allocation would be paid hundreds of times a run.
+// D's repair and the deletion rows, in both tiers, run once per move,
+// so a per-call allocation would be paid hundreds of times a run.
 func TestRepairAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	n := 200
@@ -217,31 +217,40 @@ func TestRepairAllocatesNothing(t *testing.T) {
 			y, damaged = v, dd
 		}
 	}
-	dst := make([][]int32, len(damaged))
+	cfull := c.DistanceRows()
+	var cy int32
+	var cdamaged []int32
+	for v := int32(0); v < int32(n); v++ {
+		if dd := c.DeletionDamage(cfull, v, nil); len(dd) > len(cdamaged) {
+			cy, cdamaged = v, dd
+		}
+	}
+	dst := make([][]int32, max(len(damaged), len(cdamaged)))
 	for i := range dst {
 		dst[i] = make([]int32, n)
 	}
 	rows := make([]int32, n*n)
 	var ds DeltaScratch
-	var fs FillScratch
 	var st RepairStats
 	for _, run := range []struct {
-		what string
-		fn   func()
+		what   string
+		repair bool // reports RepairStats
+		fn     func()
 	}{
-		{"RepairRows", func() { copy(rows, base); st = c.RepairRows(rows, removed, added, &ds) }},
-		{"RepairRowsWeighted", func() { copy(rows, wbase); st = wc.RepairRowsWeighted(rows, wr, wa, &ds) }},
-		{"RowsWithout", func() { wc.RowsWithout(full, damaged, dst, y, &fs) }},
+		{"RepairRows", true, func() { copy(rows, base); st = c.RepairRows(rows, removed, added, &ds) }},
+		{"RepairRowsWeighted", true, func() { copy(rows, wbase); st = wc.RepairRowsWeighted(rows, wr, wa, &ds) }},
+		{"RowsWithout", false, func() { c.RowsWithout(cfull, cdamaged, dst, cy, &ds) }},
+		{"WCSR.RowsWithout", false, func() { wc.RowsWithout(full, damaged, dst, y, &ds) }},
 	} {
 		run.fn() // warm the scratch
 		if a := testing.AllocsPerRun(10, run.fn); a != 0 {
 			t.Errorf("%s: %.1f allocations per warm call, want 0", run.what, a)
 		}
-		if run.what != "RowsWithout" && st.RowsRefilled == 0 {
+		if run.repair && st.RowsRefilled == 0 {
 			t.Fatalf("%s repaired no damaged row (stats %+v): the check would be vacuous", run.what, st)
 		}
 	}
-	if len(damaged) == 0 {
-		t.Fatal("no damaged deletion rows: the RowsWithout check would be vacuous")
+	if len(damaged) == 0 || len(cdamaged) == 0 {
+		t.Fatal("no damaged deletion rows: the RowsWithout checks would be vacuous")
 	}
 }
